@@ -4,7 +4,9 @@ at large n without building the full polynomial.
 
 The quadratic coefficient of the residue construction is
 ehr_uniform_coeff(k, n, 2) - lambda * quad_coeff_minimal_shifted(k, n),
-computed by Newton forward differences in O(n^2) exact word operations.
+computed from Katzman's hypersimplex formula: each binomial is a product of
+n - 1 integer linear factors truncated at degree 2, so the work is O(k n)
+integer operations.
 """
 
 from __future__ import annotations

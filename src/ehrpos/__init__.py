@@ -12,6 +12,7 @@ from .codes import (
     gs_best_class,
     gs_classes,
     gs_lower_bound,
+    gs_partition,
     gs_residue,
     max_ch_upper_bound,
     weight_k_masks,
@@ -93,6 +94,7 @@ __all__ = [
     "gs_best_class",
     "gs_classes",
     "gs_lower_bound",
+    "gs_partition",
     "gs_residue",
     "harmonic",
     "harmonic2",

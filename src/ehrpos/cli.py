@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from .codes import (
     DEFAULT_WORD_BUDGET,
-    gs_best_class,
-    gs_classes,
     gs_lower_bound,
+    gs_partition,
     max_ch_upper_bound,
 )
 from .ehrhart import (
@@ -284,8 +283,7 @@ def _cmd_sparse(cfg: RunConfig) -> int:
 
 
 def _cmd_code(cfg: RunConfig) -> int:
-    sizes = gs_classes(cfg.n, cfg.k, max_words=cfg.max_words)
-    code = gs_best_class(cfg.n, cfg.k, max_words=cfg.max_words)
+    sizes, code = gs_partition(cfg.n, cfg.k, max_words=cfg.max_words)
     matroid_text = matroid_to_text(code.to_matroid(check_pairwise=False))
     meta = {
         "n": cfg.n,

@@ -68,7 +68,7 @@ def gs_residue(word: int, n: int) -> int:
     return acc % n
 
 
-def _gs_partition(n: int, k: int, max_words: int) -> list[list[int]]:
+def _residue_classes(n: int, k: int, max_words: int) -> list[list[int]]:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got (n, k) = ({n}, {k})")
     if n < 1:
@@ -90,14 +90,23 @@ def gs_classes(n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET) -> list[
     The sizes sum to binomial(n, k) and the largest is at least
     ceil(binomial(n, k) / n).
     """
-    return [len(c) for c in _gs_partition(n, k, max_words)]
+    return [len(c) for c in _residue_classes(n, k, max_words)]
+
+
+def gs_partition(
+    n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET
+) -> tuple[list[int], ConstantWeightCode]:
+    """Class sizes (as gs_classes) and a class of maximum size, ties broken
+    by smallest residue, from one pass over the words."""
+    classes = _residue_classes(n, k, max_words)
+    best = max(range(n), key=lambda i: (len(classes[i]), -i))
+    code = ConstantWeightCode(n=n, k=k, words=tuple(classes[best]), class_index=best)
+    return [len(c) for c in classes], code
 
 
 def gs_best_class(n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET) -> ConstantWeightCode:
     """A residue class of maximum size; ties broken by smallest residue."""
-    classes = _gs_partition(n, k, max_words)
-    best = max(range(n), key=lambda i: (len(classes[i]), -i))
-    return ConstantWeightCode(n=n, k=k, words=tuple(classes[best]), class_index=best)
+    return gs_partition(n, k, max_words=max_words)[1]
 
 
 def gs_lower_bound(n: int, k: int) -> int:

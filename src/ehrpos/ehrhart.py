@@ -13,9 +13,9 @@ with lambda circuit-hyperplanes:
 
 Around that formula the module provides quadratic-coefficient bounds, the
 harmonic-number inequality certifying negative quadratic coefficients for
-large ground sets, a single-coefficient Newton-difference path that skips
-building the full polynomial, the rank-2 positivity suite, and the report
-type used by the counterexample search.
+large ground sets, a single-coefficient path from Katzman's hypersimplex
+formula that skips building the full polynomial, the rank-2 positivity
+suite, and the report type used by the counterexample search.
 """
 
 from __future__ import annotations
@@ -102,11 +102,15 @@ def ehr_minimal_shifted(k: int, n: int) -> Polynomial:
     All coefficients of degree >= 1 are strictly positive.  The constant
     term is zero: it equals ehr(T_{k,n}, -1), which by reciprocity counts
     interior lattice points of the undilated polytope, and there are none.
-    Both facts are asserted because the monotonicity and positivity
-    arguments downstream lean on them.
+    Both facts are checked, and an ArithmeticError raised if either fails,
+    because the monotonicity and positivity arguments downstream lean on
+    them.
     """
     p = poly_shift(ehr_minimal(k, n), -1)
-    assert all(c > 0 for c in p.coeffs[1:]) and p.coeff(0) >= 0
+    if not (all(c > 0 for c in p.coeffs[1:]) and p.coeff(0) >= 0):
+        raise ArithmeticError(
+            f"shifted minimal polynomial at (k, n) = ({k}, {n}) has a negative coefficient"
+        )
     return p
 
 
@@ -133,40 +137,30 @@ def ehr_sparse(n: int, k: int, lam: int) -> Polynomial:
 def ehr_uniform_coeff(k: int, n: int, m: int) -> Fraction:
     """Single coefficient [t^m] ehr_uniform(k, n) without the full polynomial.
 
-    Newton forward differences: with b_j the j-th difference of the point
-    counts at 0, the polynomial is sum_j b_j C(t, j), and
-    [t^m] C(t, j) = (-1)^(j-m) [j over m] / j!.  The factors are carried
-    by the Stirling recurrence, so memory stays linear in n while the
-    difference table is consumed level by level.
+    Katzman's formula (Comm. Algebra 2005) writes the hypersimplex
+    polynomial as sum_{j<k} (-1)^j C(n, j) C((k-j)t - j + n - 1, n - 1),
+    and (n-1)! times each binomial is the product of the n - 1 integer
+    linear factors (k-j)t - j + n - 1 - i, i = 0..n-2.  Each product is
+    carried only up to degree m, so the work is O(k n m) integer
+    operations, and the sum is divided by (n-1)! once.
     """
     if n < 1 or not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got (k, n) = ({k}, {n})")
     if not 0 <= m <= n - 1:
         raise ValueError(f"coefficient index {m} outside 0..{n - 1}")
-    arr = [count_points_uniform(k, n, t) for t in range(n)]
-    # factors[i] = [j over i] / j! for the current j; advance j by
-    # [j over i] = (j-1)[j-1 over i] + [j-1 over i-1], divided through by j!
-    factors = [Fraction(0)] * (m + 1)
-    factors[0] = Fraction(1)
-    coeff = Fraction(0)
-    for j in range(n):
-        if j >= m:
-            b = arr[0]
-            f = factors[m]
-            if b and f:
-                coeff += b * f if (j - m) % 2 == 0 else -b * f
-        if j == n - 1:
-            break
-        arr = [y - x for x, y in zip(arr, arr[1:])]
-        nxt = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            acc = j * factors[i]
-            if i:
-                acc += factors[i - 1]
-            if acc:
-                nxt[i] = acc / (j + 1)
-        factors = nxt
-    return coeff
+    total = 0
+    for j in range(k):
+        slope = k - j
+        prod = [1] + [0] * m
+        for i in range(n - 1):
+            const = n - 1 - j - i
+            # times (slope t + const), dropping degrees above m
+            for e in range(m, 0, -1):
+                prod[e] = prod[e] * const + prod[e - 1] * slope
+            prod[0] *= const
+        term = binomial(n, j) * prod[m]
+        total += -term if j % 2 else term
+    return Fraction(total, math.factorial(n - 1))
 
 
 def quad_coeff_minimal_shifted(k: int, n: int) -> Fraction:

@@ -20,6 +20,7 @@ equals deg q.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,18 +28,22 @@ from .ratpoly import Polynomial, RatLike, binomial
 
 
 def hstar(p: Polynomial, dim: int) -> list[Fraction]:
-    """h*-vector of a degree-dim Ehrhart polynomial, length dim + 1."""
+    """h*-vector of a degree-dim Ehrhart polynomial, length dim + 1.
+
+    The values p(0), ..., p(dim) are scaled by their common denominator,
+    convolved with the signed binomials as integers, and divided once per
+    entry.
+    """
     if p.degree != dim:
         raise ValueError("dimension mismatch")
     values = [p(i) for i in range(dim + 1)]
-    out = []
-    for i in range(dim + 1):
-        acc = Fraction(0)
-        for j in range(i + 1):
-            term = binomial(dim + 1, j) * values[i - j]
-            acc += term if j % 2 == 0 else -term
-        out.append(acc)
-    return out
+    den = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    signed = [binomial(dim + 1, j) * (-1) ** j for j in range(dim + 1)]
+    return [
+        Fraction(sum(signed[j] * scaled[i - j] for j in range(i + 1)), den)
+        for i in range(dim + 1)
+    ]
 
 
 def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -56,7 +61,8 @@ def _squarefree_part(p: Polynomial) -> Polynomial:
     if g.degree <= 0:
         return p
     q, r = divmod(p, g)
-    assert not r
+    if r:
+        raise ArithmeticError(f"gcd(p, p') does not divide p: remainder {r}")
     return q
 
 
@@ -66,7 +72,9 @@ def _sturm_chain(q: Polynomial) -> list[Polynomial]:
         _, r = divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(-r)
+        # a positive scale keeps every sign the variation count reads, and
+        # stops the remainders' coefficients from growing with the chain
+        chain.append(r * Fraction(-1, abs(r.coeffs[-1])))
     return [c for c in chain if c]
 
 

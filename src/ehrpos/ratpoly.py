@@ -6,6 +6,12 @@ index m holding the coefficient of t**m, with trailing zeros stripped so
 that the zero polynomial has an empty coefficient tuple and degree equal
 to the NEG_INFINITY sentinel.
 
+The kernels (evaluation, multiplication, the binomial polynomials, the
+Taylor shift and interpolation) work on an integer form instead: integer
+numerators over one common denominator, the lcm of the coefficient
+denominators.  Every intermediate step is integer arithmetic, and a
+`Fraction` (with its one gcd) is built only once per output coefficient.
+
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
 function), unsigned Stirling numbers of the first kind, and exact harmonic
@@ -40,9 +46,10 @@ class Polynomial:
 
     coeffs[m] is the coefficient of t**m.  Construction strips trailing
     zeros, so equality of coefficient tuples is equality of polynomials.
+    Its integer form (`_int_form`) is computed once and cached.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")
 
     coeffs: tuple[Fraction, ...]
 
@@ -51,6 +58,35 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._int: tuple[tuple[int, ...], int] | None = None
+
+    @classmethod
+    def _from_int_form(cls, nums: Sequence[int], den: int) -> Polynomial:
+        """The polynomial sum_m nums[m] t**m / den, for den > 0.
+
+        Numerators and denominator are first divided by their common gcd,
+        so the cached form has den equal to the lcm of the coefficient
+        denominators; then each coefficient becomes a Fraction once.
+        """
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        p = cls.__new__(cls)
+        p.coeffs = tuple(Fraction(c, den) for c in nums)
+        p._int = (tuple(nums), den)
+        return p
+
+    def _int_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with coeffs[m] == nums[m] / den, where den is the lcm
+        of the coefficient denominators (1 for the zero polynomial)."""
+        if self._int is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            self._int = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+        return self._int
 
     @property
     def degree(self) -> int | float:
@@ -67,11 +103,22 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __call__(self, x: RatLike) -> Fraction:
+        # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        nums, den = self._int_form()
+        if not nums:
+            return Fraction(0)
+        acc = 0
+        if b == 1:
+            for c in reversed(nums):
+                acc = acc * a + c
+            return Fraction(acc, den)
+        power = 1
+        for c in reversed(nums):
+            acc = acc * a + c * power
+            power *= b
+        return Fraction(acc, den * (power // b))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -102,18 +149,19 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | RatLike) -> Polynomial:
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
+            (xs, dx), (ys, dy) = self._int_form(), other._int_form()
+            if not xs or not ys:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Polynomial(out)
+            out = [0] * (len(xs) + len(ys) - 1)
+            for i, a in enumerate(xs):
+                if a:
+                    for j, b in enumerate(ys, i):
+                        out[j] += a * b
+            return Polynomial._from_int_form(out, dx * dy)
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            c = _as_fraction(other)
+            nums, den = self._int_form()
+            return Polynomial._from_int_form([x * c.numerator for x in nums], den * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -211,29 +259,40 @@ def harmonic2(n: int) -> Fraction:
 
 
 def binom_poly(a: int, b: int) -> Polynomial:
-    """The polynomial C(t + a, b) in t: degree b, leading coefficient 1/b!."""
+    """The polynomial C(t + a, b) in t: degree b, leading coefficient 1/b!.
+
+    The b integer linear factors t + a - i are multiplied out first and
+    the product is divided by b! once.
+    """
     if b < 0:
         raise ValueError("binom_poly needs b >= 0")
-    p = Polynomial([1])
+    nums = [1]
     for i in range(b):
-        p = p * Polynomial([a - i, 1])
-    return p * Fraction(1, math.factorial(b))
+        c = a - i
+        # times (t + c): new[m] = c * old[m] + old[m - 1]
+        nums = [c * x + y for x, y in zip(nums + [0], [0] + nums)]
+    return Polynomial._from_int_form(nums, math.factorial(b))
 
 
 def poly_shift(p: Polynomial, c: RatLike) -> Polynomial:
-    """Return q with q(t) = p(t + c), by exact binomial expansion."""
+    """Return q with q(t) = p(t + c), by an integer Taylor shift.
+
+    With p = N / den of degree d and c = a/b, M(s) = b**d N(s/b) has
+    integer coefficients, and q(t) = M(bt + a) / (den b**d): shift M by
+    the integer a, then scale coefficient m by b**m.
+    """
     c = _as_fraction(c)
     if not p or c == 0:
         return p
-    out = [Fraction(0)] * len(p.coeffs)
-    for m, pm in enumerate(p.coeffs):
-        if pm == 0:
-            continue
-        power = Fraction(1)
-        for i in range(m, -1, -1):
-            out[i] += pm * math.comb(m, i) * power
-            power *= c
-    return Polynomial(out)
+    a, b = c.numerator, c.denominator
+    nums, den = p._int_form()
+    d = len(nums) - 1
+    work = [x * b ** (d - m) for m, x in enumerate(nums)]
+    # Taylor shift by a: after pass i, work[i] is final
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            work[j] += a * work[j + 1]
+    return Polynomial._from_int_form([x * b**m for m, x in enumerate(work)], den * b**d)
 
 
 def interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Polynomial:
@@ -265,21 +324,25 @@ def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:
     """Interpolate at the nodes t = 0, 1, ..., len(values) - 1.
 
     Forward differences in the binomial basis: p = sum_j b_j * C(t, j)
-    with b_j the j-th forward difference at 0.  For integer-valued input
-    the b_j stay integral, which keeps this path much cheaper than the
-    general divided-difference one; both must agree where they overlap.
+    with b_j the j-th forward difference at 0.  Scaled by the common
+    denominator L of the values, the differences L b_j are integers, and
+    d! L p = sum_j L b_j (d!/j!) t(t-1)...(t-j+1) is summed in the
+    falling-factorial basis by Horner's rule with integer coefficients.
     """
     if not values:
         raise ValueError("degenerate interpolation input")
     arr = [_as_fraction(v) for v in values]
-    result = Polynomial()
-    basis = Polynomial([1])
-    d = len(arr) - 1
-    for j in range(d + 1):
-        b = arr[0]
-        if b:
-            result = result + b * basis
-        if j < d:
-            arr = [y - x for x, y in zip(arr, arr[1:])]
-            basis = basis * Polynomial([-j, 1]) * Fraction(1, j + 1)
-    return result
+    den = math.lcm(*(v.denominator for v in arr))
+    diffs = [v.numerator * (den // v.denominator) for v in arr]
+    d = len(diffs) - 1
+    for j in range(1, d + 1):
+        for i in range(d, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    # diffs[j] is now L b_j; Horner: acc <- acc * (t - j) + L b_j d!/j!
+    acc = [diffs[d]]
+    scale = 1
+    for j in range(d - 1, -1, -1):
+        scale *= j + 1
+        acc = [y - j * x for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += diffs[j] * scale
+    return Polynomial._from_int_form(acc, math.factorial(d) * den)

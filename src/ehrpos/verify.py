@@ -6,9 +6,9 @@ counts).  `run_all` executes the checks in order and returns one result
 per check; the command line front end prints them as a pass/fail table
 and the acceptance tests re-expose them to pytest.
 
-The rank-3 threshold check builds a single coefficient of a degree-3588
-polynomial and runs for minutes; it only runs when heavy checks are
-requested.
+The rank-3 threshold check reads a single coefficient of a degree-3588
+polynomial from Katzman's formula (about 0.1 s); it only runs when heavy
+checks are requested.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .codes import gs_best_class, gs_classes, gs_lower_bound, max_ch_upper_bound
+from .codes import gs_lower_bound, gs_partition, max_ch_upper_bound
 from .ehrhart import (
     counterexample_inequality,
     counterexample_inequality_strong9,
@@ -104,9 +104,8 @@ def check_golden_counterexample() -> tuple[bool, str]:
 
 
 def check_residue_classes_20_9() -> tuple[bool, str]:
-    sizes = gs_classes(20, 9)
+    sizes, code = gs_partition(20, 9)
     equal = sizes == [CLASS_SIZE_20_9] * 20
-    code = gs_best_class(20, 9)
     # full O(lambda^2) pairwise distance validation, ~3.5e7 pair checks
     matroid = code.to_matroid(check_pairwise=True)
     ok = equal and matroid.lam == LAMBDA_20_9 and (matroid.n, matroid.k) == (20, 9)
@@ -266,7 +265,7 @@ def run_check(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> 
 
 def iter_results(*, heavy: bool = False) -> Iterator[CheckResult]:
     """Run the suite check by check; the heavy rank-3 one is skipped unless
-    asked for (it is the only check that needs minutes instead of seconds)."""
+    asked for."""
     for criterion, name, fn in CHECKS:
         if criterion == 10 and not heavy:
             yield CheckResult(criterion, name, "skip", "pass --heavy to run")

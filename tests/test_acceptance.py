@@ -1,8 +1,9 @@
 """Acceptance gate: one test per numbered criterion, exact arithmetic only.
 
 Each test prints a single PASS/FAIL line (visible through pytest's capture)
-so a log scan shows the per-criterion verdict.  Criterion 10 recomputes a
-degree-3588 coefficient and dominates the suite at roughly forty seconds.
+so a log scan shows the per-criterion verdict.  Criterion 10 reads one
+coefficient of a degree-3588 polynomial in about 0.1 s; criterion 9, the
+oracle certification, is the slowest at about ten seconds.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ehrpos import cli
+from ehrpos import cli, codes
 from ehrpos.ehrhart import CounterexampleReport
 from ehrpos.verify import CheckResult
 
@@ -270,3 +271,66 @@ def test_config_from_args_defaults() -> None:
         parser.parse_args(["sparse", "--n", "6", "--k", "3", "--lambda", "2"])
     )
     assert cfg.lam == 2 and cfg.lambda_provenance == "user"
+
+
+def test_code_enumerates_each_word_once(capsys, monkeypatch) -> None:
+    seen = []
+    masks = codes.weight_k_masks
+
+    def counting(n: int, k: int):
+        for w in masks(n, k):
+            seen.append(w)
+            yield w
+
+    monkeypatch.setattr(codes, "weight_k_masks", counting)
+    code, out = run_cli(capsys, "code", "--n", "10", "--k", "3", "--format", "json")
+    assert code == 0
+    assert len(seen) == 120  # C(10, 3)
+    d = json.loads(out)
+    assert d["class_sizes"][d["chosen_index"]] == max(d["class_sizes"])
+
+
+# sha256 of stdout, recorded before the polynomial kernels moved to integer
+# arithmetic; the output must stay byte-identical
+GOLDEN_STDOUT = {
+    "uniform": (
+        ["uniform", "--n", "12", "--k", "5"],
+        "25d8180838fb51993f48912870690c155a3b6c1c98bcaccf088aa9487068b985",
+    ),
+    "minimal-shifted": (
+        ["minimal", "--n", "14", "--k", "4", "--shifted"],
+        "4eb467e6911d8a01cadc03231012e02428d8d45bbf1df006a6179447c7ea1241",
+    ),
+    "sparse-text": (
+        ["sparse", "--n", "20", "--k", "9", "--lambda", "8398", "--provenance", "gs-bound"],
+        "590676e0a7af0f9971e5d0772b3745305941d359424778ca5a5a11f266712f57",
+    ),
+    "sparse-json": (
+        ["sparse", "--n", "20", "--k", "9", "--lambda", "8398", "--format", "json"],
+        "de4757899eff28c096c04c6e5d39e37db7427363b4e9d948fc1687392c8b3215",
+    ),
+    "search-csv": (
+        ["search", "--n-range", "18:22", "--k-range", "7:11", "--format", "csv"],
+        "f4410f5f70c0511ec933ed0ba492b95eb07f86573bf417341b8c92f8264c7d08",
+    ),
+    "hstar-20-9": (
+        ["hstar", "--n", "20", "--k", "9", "--lambda", "8398", "--check-real-rooted"],
+        "186f796886c59f9234a6b881fae9b2712b8f22b6c7fc39ac458042b189bb3fb8",
+    ),
+    "hstar-60-2": (
+        ["hstar", "--n", "60", "--k", "2", "--lambda", "30", "--check-real-rooted"],
+        "fa502373d682780f914ab84f8590e28888c4d3f591a8e160d190a5e93c867ff4",
+    ),
+    "verify-paper": (
+        ["verify-paper"],
+        "4cdc4f0bc65d55d7a36210a4d223d2f1f9de707c84dabee650801dab6cbea1c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(name: str, capsys) -> None:
+    argv, digest = GOLDEN_STDOUT[name]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrpos import ehrhart
 from ehrpos.codes import gs_lower_bound, max_ch_upper_bound
 from ehrpos.ehrhart import (
     PROVENANCES,
@@ -110,6 +111,16 @@ def test_ehr_minimal_shifted_is_shift() -> None:
             assert all(c > 0 for c in shifted.coeffs[1:])
 
 
+def test_ehr_minimal_shifted_raises_on_a_negative_coefficient(monkeypatch) -> None:
+    monkeypatch.setattr(ehrhart, "poly_shift", lambda p, c: Polynomial([0, -1, 1]))
+    ehr_minimal_shifted.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="negative coefficient"):
+            ehr_minimal_shifted(2, 5)
+    finally:
+        ehr_minimal_shifted.cache_clear()
+
+
 def test_ehr_sparse_basics() -> None:
     for n in range(2, 9):
         for k in range(1, n):
@@ -199,8 +210,14 @@ def test_quad_bound_preconditions() -> None:
             fn(4, 5)
 
 
-def test_newton_coefficient_path() -> None:
-    for k, n in ((2, 9), (3, 14), (4, 21), (5, 40)):
+def test_single_coefficient_path() -> None:
+    # Katzman's truncated products against the interpolated polynomial
+    for n in range(2, 16):
+        for k in range(1, n):
+            p = ehr_uniform(k, n)
+            for m in range(n):
+                assert ehr_uniform_coeff(k, n, m) == p.coeff(m)
+    for k, n in ((4, 21), (5, 40)):
         p = ehr_uniform(k, n)
         for m in (0, 1, 2, 3, n - 2, n - 1):
             assert ehr_uniform_coeff(k, n, m) == p.coeff(m)
@@ -210,7 +227,7 @@ def test_newton_coefficient_path() -> None:
         ehr_uniform_coeff(0, 9, 1)
 
 
-def test_newton_path_large_n_spot() -> None:
+def test_single_coefficient_large_n_spot() -> None:
     # degree-100 instance stays exact and fast
     p = ehr_uniform(3, 100)
     assert ehr_uniform_coeff(3, 100, 2) == p.coeff(2)

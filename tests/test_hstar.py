@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ehrpos.ehrhart import ehr_sparse, ehr_uniform
+from ehrpos.ehrhart import ehr_sparse, ehr_uniform, rank2_poly
 from ehrpos.hstar import hstar, is_real_rooted
 from ehrpos.ratpoly import Polynomial, binom_poly
+
+# the package exports the function hstar under the module's own name
+hstar_module = importlib.import_module("ehrpos.hstar")
 
 
 def test_unimodular_simplex() -> None:
@@ -82,3 +88,39 @@ def test_is_real_rooted_rejects_zero() -> None:
 def test_is_real_rooted_accepts_fraction_lists() -> None:
     assert is_real_rooted([Fraction(1, 2), Fraction(3, 2), Fraction(1)])
     assert is_real_rooted(hstar(Polynomial([1, 3, 3, 1]), 3))
+
+
+def _ref_hstar(p: Polynomial, dim: int) -> list[Fraction]:
+    # the closed form over Fractions, with p evaluated by Fraction Horner
+    def value(x: int) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    return [
+        sum((-1) ** j * math.comb(dim + 1, j) * value(i - j) for j in range(i + 1))
+        for i in range(dim + 1)
+    ]
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-100, max_value=100, max_denominator=30), min_size=1, max_size=8
+    ).filter(lambda cs: cs[-1] != 0)
+)
+def test_hstar_matches_fraction_reference(coeffs: list[Fraction]) -> None:
+    p = Polynomial(coeffs)
+    assert hstar(p, len(coeffs) - 1) == _ref_hstar(p, len(coeffs) - 1)
+
+
+def test_hstar_matches_fraction_reference_on_ehrhart_polynomials() -> None:
+    for p in (ehr_sparse(20, 9, 8398), ehr_uniform(5, 13), rank2_poly(40)):
+        assert hstar(p, int(p.degree)) == _ref_hstar(p, int(p.degree))
+
+
+def test_squarefree_part_raises_when_gcd_does_not_divide(monkeypatch) -> None:
+    # z^2 + 1 is not divisible by z + 1: the division check must fire
+    monkeypatch.setattr(hstar_module, "_poly_gcd", lambda a, b: Polynomial([1, 1]))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        is_real_rooted([1, 0, 1])

@@ -176,3 +176,108 @@ def test_interpolate_at_naturals_integer_inputs_only() -> None:
     p = interpolate_at_naturals([1, 3, 9, 31])
     assert p(0) == 1 and p(3) == 31
     assert p.degree == 3
+
+
+# Plain Fraction references for the integer kernels: each is the textbook
+# algorithm on Fraction coefficients, with no integer form involved.
+
+
+def _ref_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_shift(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
+    out = [Fraction(0)] * len(coeffs)
+    for m, pm in enumerate(coeffs):
+        for i in range(m + 1):
+            out[i] += pm * math.comb(m, i) * c ** (m - i)
+    return out
+
+
+def _ref_binom_poly(a: int, b: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for i in range(b):
+        out = _ref_mul(out, [Fraction(a - i), Fraction(1)])
+    return [c / math.factorial(b) for c in out]
+
+
+def _ref_interpolate_at_naturals(values: list[Fraction]) -> list[Fraction]:
+    # sum_j (j-th forward difference at 0) * C(t, j)
+    out = [Fraction(0)] * len(values)
+    basis = [Fraction(1)]
+    arr = list(values)
+    for j in range(len(values)):
+        for m, b in enumerate(basis):
+            out[m] += arr[0] * b
+        arr = [y - x for x, y in zip(arr, arr[1:])]
+        basis = [c / (j + 1) for c in _ref_mul(basis, [Fraction(-j), Fraction(1)])]
+    return out
+
+
+def _assert_int_form(p: Polynomial) -> None:
+    nums, den = p._int_form()
+    assert den == math.lcm(*(c.denominator for c in p.coeffs))
+    assert tuple(Fraction(x, den) for x in nums) == p.coeffs
+
+
+points = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+)
+
+
+@given(small_polys, points)
+def test_call_matches_fraction_horner(p: Polynomial, x: Fraction) -> None:
+    assert p(x) == _ref_eval(p.coeffs, x)
+    assert p(-x) == _ref_eval(p.coeffs, -x)
+    if x.denominator == 1:
+        assert p(int(x)) == _ref_eval(p.coeffs, x)
+
+
+@given(small_polys, small_polys, fractions)
+def test_mul_matches_fraction_convolution(p: Polynomial, q: Polynomial, c: Fraction) -> None:
+    r = p * q
+    assert r == Polynomial(_ref_mul(list(p.coeffs), list(q.coeffs)))
+    _assert_int_form(r)
+    assert c * p == Polynomial([c * x for x in p.coeffs])
+
+
+@given(small_polys, points)
+def test_poly_shift_matches_binomial_expansion(p: Polynomial, c: Fraction) -> None:
+    q = poly_shift(p, c)
+    assert q == Polynomial(_ref_shift(p.coeffs, c))
+    if q:
+        _assert_int_form(q)
+
+
+def test_binom_poly_matches_fraction_product() -> None:
+    for a in range(-6, 7):
+        for b in range(9):
+            p = binom_poly(a, b)
+            assert p == Polynomial(_ref_binom_poly(a, b))
+            _assert_int_form(p)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+        st.lists(fractions, min_size=1, max_size=9),
+    )
+)
+def test_interpolate_at_naturals_matches_fraction_differences(values: list) -> None:
+    p = interpolate_at_naturals(values)
+    assert p == Polynomial(_ref_interpolate_at_naturals([Fraction(v) for v in values]))
+    assert [p(t) for t in range(len(values))] == values
