@@ -8,8 +8,9 @@ constant-weight binary code of minimum Hamming distance 4, i.e. a stable
 set in the Johnson graph J(n, k).
 
 Subsets are stored as bit masks over machine words (bit i - 1 represents
-element i), which caps the ground set at n = 64 and makes the distance
-check a popcount of an xor.
+element i), which caps the ground set at n = 64.  Two distinct k-subsets
+are at Hamming distance 2 exactly when they share a (k-1)-subset, so the
+distance-4 condition is checked on the lambda * k shadows of the family.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def validate(
 
     Checks, in order: ground-set size, popcounts, the packing bound on
     |Lambda|, and (unless check_pairwise is False, for trusted bulk input)
-    the O(lambda^2) pairwise Hamming distance >= 4 condition.
+    the pairwise Hamming distance >= 4 condition, as distinctness of the
+    lambda * k shadows (each word with one element removed).
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size n={n} outside 1..{MAX_GROUND_SET}")
@@ -112,15 +114,42 @@ def validate(
             f"{len(masks)} circuit-hyperplanes exceeds circuit-hyperplane bound "
             f"{circuit_hyperplane_bound(n, k)} for (n, k) = ({n}, {k})"
         )
-    if check_pairwise:
-        for i, hi in enumerate(masks):
-            for hj in masks[i + 1 :]:
-                if (hi ^ hj).bit_count() < 4:
-                    raise ValueError(
-                        f"{set(elements_of(hi))} and {set(elements_of(hj))} are "
-                        f"adjacent in Johnson graph J({n},{k})"
-                    )
+    if check_pairwise and not _shadows_distinct(masks):
+        hi, hj = _first_adjacent_pair(masks, full)
+        raise ValueError(
+            f"{set(elements_of(hi))} and {set(elements_of(hj))} are "
+            f"adjacent in Johnson graph J({n},{k})"
+        )
     return SparsePavingMatroid(n, k, tuple(masks))
+
+
+def _shadows_distinct(masks: list[int]) -> bool:
+    """True when no (k-1)-subset lies under two of the distinct k-sets."""
+    seen: set[int] = set()
+    for h in masks:
+        rest = h
+        while rest:
+            low = rest & -rest
+            shadow = h ^ low
+            if shadow in seen:
+                return False
+            seen.add(shadow)
+            rest ^= low
+    return True
+
+
+def _first_adjacent_pair(masks: list[int], full: int) -> tuple[int, int]:
+    """The first pair (hi, hj), hi < hj in sorted order, at Hamming distance
+    2: the pair a scan over all pairs would name.  Each word is compared
+    with its k(n - k) Johnson neighbours only."""
+    members = set(masks)
+    for hi in masks:
+        inside = [1 << (e - 1) for e in elements_of(hi)]
+        outside = [1 << (e - 1) for e in elements_of(full ^ hi)]
+        later = [g for g in (hi ^ a ^ b for a in inside for b in outside) if g > hi and g in members]
+        if later:
+            return hi, min(later)
+    raise ArithmeticError("two words share a shadow but no two are Johnson neighbours")
 
 
 def dual(m: SparsePavingMatroid) -> SparsePavingMatroid:

@@ -3,7 +3,7 @@
 Each test prints a single PASS/FAIL line (visible through pytest's capture)
 so a log scan shows the per-criterion verdict.  Criterion 10 reads one
 coefficient of a degree-3588 polynomial in about 0.1 s; criterion 9, the
-oracle certification, is the slowest at about ten seconds.
+oracle certification, is the slowest at about three seconds.
 """
 
 from __future__ import annotations

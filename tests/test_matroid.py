@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import re
 from itertools import combinations, product
 
 import pytest
@@ -80,6 +82,53 @@ def test_validate_error_messages() -> None:
         validate(3, 2, [0b1100])
     # duplicates collapse instead of tripping the distance check
     assert validate(6, 3, [mask(1, 2, 3), mask(1, 2, 3)]).lam == 1
+
+
+def first_close_pair(masks: list[int]) -> tuple[int, int] | None:
+    """Reference: the first pair, in sorted order, at distance below 4."""
+    ms = sorted(set(masks))
+    for i, a in enumerate(ms):
+        for b in ms[i + 1 :]:
+            if (a ^ b).bit_count() < 4:
+                return a, b
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
+    n = data.draw(st.integers(2, 10))
+    k = data.draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    drawn = data.draw(
+        st.lists(st.frozensets(st.integers(1, n), min_size=k, max_size=k), max_size=15)
+    )
+    words = [mask_from_elements(s, n) for s in drawn]
+    if data.draw(st.booleans()):  # thin to a valid code, so accepts are common
+        code: list[int] = []
+        for w in words:
+            if all((w ^ c).bit_count() >= 4 for c in code):
+                code.append(w)
+        words = code
+    if words and data.draw(st.booleans()):  # duplicate a word
+        words.append(data.draw(st.sampled_from(words)))
+    if words and data.draw(st.booleans()):  # inject a Johnson neighbour
+        w = data.draw(st.sampled_from(words))
+        inside = data.draw(st.sampled_from(elements_of(w)))
+        outside = data.draw(st.sampled_from(sorted(set(range(1, n + 1)) - set(elements_of(w)))))
+        words.append(w ^ 1 << (inside - 1) ^ 1 << (outside - 1))
+    close = first_close_pair(words)
+    if close is None:
+        assert validate(n, k, words).circuit_hyperplanes == tuple(sorted(set(words)))
+        return
+    with pytest.raises(ValueError) as info:
+        validate(n, k, words)
+    message = str(info.value)
+    if "exceeds circuit-hyperplane bound" in message:
+        return
+    assert message.endswith(f"are adjacent in Johnson graph J({n},{k})")
+    a, b = (mask_from_elements(ast.literal_eval(s), n) for s in re.findall(r"\{[\d, ]+\}", message))
+    assert (a ^ b).bit_count() == 2
+    assert (a, b) == close
 
 
 def test_validate_pairwise_opt_out() -> None:
