@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-paper", "run the acceptance suite and print pass/fail per item", fmt=False)
     p.add_argument("--heavy", action="store_true", help="include the rank-3 n=3589 check")
 
-    p = add("oracle", "compare brute-force lattice point counts with the formula", fmt=False)
+    p = add("oracle", "compare oracle lattice point counts with the formula", fmt=False)
     p.add_argument("--matroid-file", required=True)
     p.add_argument("--t-max", type=int, default=4)
 

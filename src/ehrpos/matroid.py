@@ -204,16 +204,20 @@ class LinearConstraint:
     rel: str
     rhs_coeff: int
 
-    def holds(self, x: tuple[int, ...], t: int) -> bool:
-        lhs = 0
+    def lhs(self, x: tuple[int, ...]) -> int:
+        """Sum of x_i over the elements of `mask`."""
+        total = 0
         mask = self.mask
         i = 0
         while mask:
             if mask & 1:
-                lhs += x[i]
+                total += x[i]
             mask >>= 1
             i += 1
-        rhs = self.rhs_coeff * t
+        return total
+
+    def holds(self, x: tuple[int, ...], t: int) -> bool:
+        lhs, rhs = self.lhs(x), self.rhs_coeff * t
         if self.rel == "eq":
             return lhs == rhs
         if self.rel == "le":
@@ -222,15 +226,7 @@ class LinearConstraint:
 
     def holds_strict(self, x: tuple[int, ...], t: int) -> bool:
         """Strict version for interior tests; the equality stays an equality."""
-        lhs = 0
-        mask = self.mask
-        i = 0
-        while mask:
-            if mask & 1:
-                lhs += x[i]
-            mask >>= 1
-            i += 1
-        rhs = self.rhs_coeff * t
+        lhs, rhs = self.lhs(x), self.rhs_coeff * t
         if self.rel == "eq":
             return lhs == rhs
         if self.rel == "le":

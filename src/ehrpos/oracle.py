@@ -1,10 +1,11 @@
-"""Brute-force lattice-point oracle for desk-scale certification.
+"""Lattice-point oracle for desk-scale certification.
 
-Counts integer points of dilated basis polytopes by depth-first search
-over coordinates with remaining-sum pruning, independently of every
-formula in `ehrpos.ehrhart`; the test suite plays the two against each
-other.  Budgets keep instances small: this module is a certifier, not a
-production counter.
+Counts integer points of dilated basis polytopes exactly, from the facet
+description alone, by a dynamic program over the coordinates that merges
+prefixes with the same remaining sum and the same circuit-hyperplane
+slacks.  It uses no formula of `ehrpos.ehrhart`; the test suite plays the
+two against each other.  Budgets keep instances small: this module is a
+certifier, not a production counter.
 """
 
 from __future__ import annotations
@@ -37,37 +38,44 @@ def point_in_dilate(m: SparsePavingMatroid, x: tuple[int, ...], t: int, *, inter
 
 
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
+    """Exact count by a dynamic program over the coordinates x_0..x_{n-1}.
+
+    A layer maps a state to the number of prefixes x_0..x_{i-1} that reach
+    it.  The state is the remaining sum and, for each circuit-hyperplane
+    H, its slack: cap minus the sum of the placed x over H.  A slack above
+    hi times the number of H's coordinates still to come can never bind,
+    so it is stored as that product; it drops to 0 once H's last
+    coordinate is placed, and prefixes that no later coordinate can tell
+    apart merge into one state.
+    """
     n, k = m.n, m.k
     lo, hi = (1, t - 1) if interior else (0, t)
     cap = (k - 1) * t - (1 if interior else 0)
-    target = k * t
     if hi < lo:
         return 0
     chs = m.circuit_hyperplanes
-    per_coord = [[j for j, h in enumerate(chs) if h >> i & 1] for i in range(n)]
-    sums = [0] * len(chs)
-
-    def rec(i: int, rem: int) -> int:
-        if i == n:
-            return 1 if rem == 0 else 0
+    layer = {(k * t,) + tuple(min(cap, hi * h.bit_count()) for h in chs): 1}
+    for i in range(n):
         left = n - i - 1
-        total = 0
-        for x in range(max(lo, rem - hi * left), min(hi, rem - lo * left) + 1):
-            blocked = False
-            for j in per_coord[i]:
-                if sums[j] + x > cap:
-                    blocked = True
-                    break
-            if blocked:
-                break  # prefix sums grow with x, so larger x stay blocked
-            for j in per_coord[i]:
-                sums[j] += x
-            total += rec(i + 1, rem - x)
-            for j in per_coord[i]:
-                sums[j] -= x
-        return total
-
-    return rec(0, target)
+        # (state position, slack ceiling after x_i) of each H containing i
+        cover = [(j + 1, hi * (h >> (i + 1)).bit_count()) for j, h in enumerate(chs) if h >> i & 1]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            rem = state[0]
+            top = min(hi, rem - lo * left)
+            for j, _ in cover:
+                if state[j] < top:  # sum over H <= cap, i.e. x_i <= its slack
+                    top = state[j]
+            for x in range(max(lo, rem - hi * left), top + 1):
+                new = list(state)
+                new[0] = rem - x
+                for j, ceiling in cover:
+                    slack = new[j] - x
+                    new[j] = slack if slack < ceiling else ceiling
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return sum(layer.values())  # the last x takes all that remains
 
 
 def _check_instance(m: SparsePavingMatroid, t: int, t_cap: int) -> None:

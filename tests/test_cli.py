@@ -325,12 +325,30 @@ GOLDEN_STDOUT = {
         ["verify-paper"],
         "4cdc4f0bc65d55d7a36210a4d223d2f1f9de707c84dabee650801dab6cbea1c0",
     ),
+    "oracle": (
+        ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],
+        "5835e273043e5f10875a3f04f735a1973802ecbc42b1152964441387ebd8c9d9",
+    ),
+    "code": (
+        ["code", "--n", "10", "--k", "4"],
+        "a7a8ccd98bf0696fe5c988d1dcf0f422ad150a935aa4b8650026190495ec4eef",
+    ),
+    "bounds": (
+        ["bounds", "--n", "20", "--k", "9"],
+        "a11c217b788fb58a92594d9ce13637a72e2586c87b5338d5d1462a9d2452240b",
+    ),
 }
+
+# the file behind "{matroid_file}": rank 3 on 7 elements, lambda = 2
+GOLDEN_MATROID = "7 3\n1 2 3\n4 5 6\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-def test_golden_stdout(name: str, capsys) -> None:
+def test_golden_stdout(name: str, tmp_path, capsys) -> None:
     argv, digest = GOLDEN_STDOUT[name]
+    matroid_file = tmp_path / "m.txt"
+    matroid_file.write_text(GOLDEN_MATROID, encoding="ascii")
+    argv = [str(matroid_file) if a == "{matroid_file}" else a for a in argv]
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

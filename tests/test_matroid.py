@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrpos.matroid import (
+    LinearConstraint,
     SparsePavingMatroid,
     bases_count,
     circuit_hyperplane_bound,
@@ -220,6 +221,23 @@ def test_linear_constraint_strictness() -> None:
     assert not c_le.holds_strict(x, 1)
     c_eq = facet_description(validate(4, 2, []))[0]
     assert c_eq.holds(x, 1) and c_eq.holds_strict(x, 1)
+
+
+def test_linear_constraint_verdicts_against_direct_sums() -> None:
+    compare = {
+        "eq": (lambda a, b: a == b, lambda a, b: a == b),
+        "le": (lambda a, b: a <= b, lambda a, b: a < b),
+        "ge": (lambda a, b: a >= b, lambda a, b: a > b),
+    }
+    for mask in range(1 << 4):
+        for rel, (weak, strict) in compare.items():
+            c = LinearConstraint(mask, rel, 2)
+            for x in product(range(3), repeat=4):
+                direct = sum(x[i] for i in range(4) if mask >> i & 1)
+                assert c.lhs(x) == direct
+                for t in (0, 1, 2):
+                    assert c.holds(x, t) == weak(direct, 2 * t)
+                    assert c.holds_strict(x, t) == strict(direct, 2 * t)
 
 
 def test_text_round_trip() -> None:

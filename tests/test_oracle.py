@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrpos import oracle
+from ehrpos.codes import gs_best_class
 from ehrpos.ehrhart import count_points_uniform, ehr_sparse
 from ehrpos.errors import BudgetExceededError
 from ehrpos.matroid import (
@@ -28,6 +30,52 @@ from ehrpos.oracle import (
 
 def uniform(k: int, n: int) -> SparsePavingMatroid:
     return validate(n, k, [])
+
+
+def dfs_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
+    """Reference route: depth-first search over the coordinates, one leaf
+    per lattice point, with the same bounds and hyperplane checks."""
+    n, k = m.n, m.k
+    lo, hi = (1, t - 1) if interior else (0, t)
+    cap = (k - 1) * t - (1 if interior else 0)
+    if hi < lo:
+        return 0
+    chs = m.circuit_hyperplanes
+    per_coord = [[j for j, h in enumerate(chs) if h >> i & 1] for i in range(n)]
+    sums = [0] * len(chs)
+
+    def rec(i: int, rem: int) -> int:
+        if i == n:
+            return 1 if rem == 0 else 0
+        left = n - i - 1
+        total = 0
+        for x in range(max(lo, rem - hi * left), min(hi, rem - lo * left) + 1):
+            if any(sums[j] + x > cap for j in per_coord[i]):
+                break  # prefix sums grow with x, so larger x stay blocked
+            for j in per_coord[i]:
+                sums[j] += x
+            total += rec(i + 1, rem - x)
+            for j in per_coord[i]:
+                sums[j] -= x
+        return total
+
+    return rec(0, k * t)
+
+
+def box_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
+    """Reference route: every point of the box [0, t]^n, kept when the
+    facet description admits it."""
+    return sum(
+        point_in_dilate(m, x, t, interior=interior)
+        for x in product(range(t + 1), repeat=m.n)
+    )
+
+
+def assert_counts_match_references(m: SparsePavingMatroid, t: int) -> None:
+    closed = oracle_count(m, t)
+    assert closed == dfs_count(m, t, interior=False) == box_count(m, t, interior=False), (m, t)
+    inner = oracle_interior_count(m, t)
+    assert inner == dfs_count(m, t, interior=True) == box_count(m, t, interior=True), (m, t)
 
 
 def test_oracle_count_examples() -> None:
@@ -76,6 +124,7 @@ def test_oracle_matches_formula_on_sparse_families() -> None:
         validate(5, 2, [0b00011, 0b01100]),
         validate(6, 2, [0b000011, 0b001100, 0b110000]),
         validate(7, 3, [mask_from_elements([1, 2, 3], 7)]),
+        gs_best_class(10, 5).to_matroid(),  # 26 circuit-hyperplanes
     ]
     for m in cases:
         p = ehr_sparse(m.n, m.k, m.lam)
@@ -87,6 +136,39 @@ def test_oracle_ehrhart_reconstructs_formula() -> None:
     m = validate(6, 3, [0b000111, 0b111000])
     assert oracle_ehrhart(m) == ehr_sparse(6, 3, 2)
     assert oracle_ehrhart(uniform(2, 5)) == ehr_sparse(5, 2, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_counts_match_dfs_and_box(data: st.DataObject) -> None:
+    n = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.sampled_from(list(enumerate_small_matroids(n, k, 3))))
+    t = data.draw(st.integers(0, 4))
+    assert_counts_match_references(m, t)
+
+
+@pytest.mark.parametrize("side", [False, True], ids=["closed", "interior"])
+def test_reference_check_catches_an_off_by_one(side: bool, monkeypatch) -> None:
+    m = validate(5, 2, [0b00011, 0b01100])
+    assert_counts_match_references(m, 3)
+    real = oracle._count_points
+    monkeypatch.setattr(
+        oracle,
+        "_count_points",
+        lambda mm, t, *, interior: real(mm, t, interior=interior) + (interior == side),
+    )
+    with pytest.raises(AssertionError):
+        assert_counts_match_references(m, 3)
+
+
+def test_budget_corner() -> None:
+    # n = ORACLE_MAX_N at t = ORACLE_MAX_T
+    for k in (1, 5, 9):
+        m = uniform(k, ORACLE_MAX_N)
+        assert oracle_count(m, ORACLE_MAX_T) == count_points_uniform(k, ORACLE_MAX_N, ORACLE_MAX_T)
+    m = validate(ORACLE_MAX_N, 5, [0b0000011111, 0b0001100111])
+    assert oracle_count(m, ORACLE_MAX_T) == ehr_sparse(ORACLE_MAX_N, 5, 2)(ORACLE_MAX_T)
 
 
 def test_oracle_budgets() -> None:
@@ -170,6 +252,6 @@ def test_count_monotone_in_relaxation(data: st.DataObject) -> None:
 
 
 def test_oracle_runtime_smoke() -> None:
-    t0 = time.time()
+    t0 = time.perf_counter()
     oracle_count(uniform(5, 10), 3)
-    assert time.time() - t0 < 30
+    assert time.perf_counter() - t0 < 30
