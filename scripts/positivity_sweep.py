@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 
-from ehrpos.codes import max_ch_upper_bound
 from ehrpos.ehrhart import CounterexampleReport, search_counterexamples
+from ehrpos.matroid import circuit_hyperplane_bound
 
 
 def main() -> int:
@@ -27,7 +27,7 @@ def main() -> int:
         if args.cap:
             reports = []
             for k in range(1, n):
-                lam = max_ch_upper_bound(n, k)
+                lam = circuit_hyperplane_bound(n, k)
                 reports.append(CounterexampleReport.build(n, k, lam, "user"))
         else:
             reports = search_counterexamples(n, n, 1, n - 1)

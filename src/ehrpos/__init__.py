@@ -14,12 +14,10 @@ from .codes import (
     gs_lower_bound,
     gs_partition,
     gs_residue,
-    max_ch_upper_bound,
     weight_k_masks,
 )
 from .ehrhart import (
     CounterexampleReport,
-    coeff_minimal_shifted_rank2,
     count_points_uniform,
     counterexample_inequality,
     counterexample_inequality_strong9,
@@ -53,7 +51,6 @@ from .oracle import (
     oracle_count,
     oracle_ehrhart,
     oracle_interior_count,
-    point_in_dilate,
 )
 from .ratpoly import (
     Polynomial,
@@ -61,10 +58,8 @@ from .ratpoly import (
     binomial,
     harmonic,
     harmonic2,
-    interpolate,
     interpolate_at_naturals,
     poly_shift,
-    stirling1_unsigned,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +74,6 @@ __all__ = [
     "binom_poly",
     "binomial",
     "circuit_hyperplane_bound",
-    "coeff_minimal_shifted_rank2",
     "count_points_uniform",
     "counterexample_inequality",
     "counterexample_inequality_strong9",
@@ -99,7 +93,6 @@ __all__ = [
     "harmonic",
     "harmonic2",
     "hstar",
-    "interpolate",
     "interpolate_at_naturals",
     "intermediate_bound_quad",
     "is_real_rooted",
@@ -107,16 +100,13 @@ __all__ = [
     "mask_from_elements",
     "matroid_from_text",
     "matroid_to_text",
-    "max_ch_upper_bound",
     "oracle_count",
     "oracle_ehrhart",
     "oracle_interior_count",
-    "point_in_dilate",
     "poly_shift",
     "quad_coeff_minimal_shifted",
     "rank2_poly",
     "search_counterexamples",
-    "stirling1_unsigned",
     "upper_bound_quad_uniform",
     "verify_rank2_inequalities",
     "weight_k_masks",

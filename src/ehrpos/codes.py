@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceededError
-from .matroid import SparsePavingMatroid, circuit_hyperplane_bound, validate
+from .matroid import SparsePavingMatroid, validate
 from .ratpoly import binomial
 
 DEFAULT_WORD_BUDGET = 2_000_000
@@ -115,8 +115,3 @@ def gs_lower_bound(n: int, k: int) -> int:
         return 0
     return binomial(n, k) // n
 
-
-def max_ch_upper_bound(n: int, k: int) -> int:
-    """floor of binomial(n, k) * min(1/(k+1), 1/(n-k+1)), the packing bound
-    on the number of circuit-hyperplanes of any rank-k matroid on n elements."""
-    return circuit_hyperplane_bound(n, k)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .codes import gs_lower_bound, max_ch_upper_bound
+from .codes import gs_lower_bound
+from .matroid import circuit_hyperplane_bound
 from .ratpoly import (
     Polynomial,
     binom_poly,
@@ -34,7 +35,6 @@ from .ratpoly import (
     harmonic2,
     interpolate_at_naturals,
     poly_shift,
-    stirling1_unsigned,
 )
 
 PROVENANCES = ("gs-bound", "external-table", "user")
@@ -123,7 +123,7 @@ def ehr_sparse(n: int, k: int, lam: int) -> Polynomial:
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got (n, k) = ({n}, {k})")
-    bound = max_ch_upper_bound(n, k)
+    bound = circuit_hyperplane_bound(n, k)
     if not 0 <= lam <= bound:
         raise ValueError(
             f"no sparse paving matroid with lambda = {lam} exists for "
@@ -350,17 +350,6 @@ def rank2_poly(n: int) -> Polynomial:
     return ehr_uniform(2, n) - (n // 2) * ehr_minimal_shifted(2, n)
 
 
-def coeff_minimal_shifted_rank2(n: int, m: int) -> Fraction:
-    """[t^m] ehr_minimal_shifted(2, n) in closed form:
-    (1/(n-1)!) ([n-2 over m] + (n-2) [n-2 over m-1])."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not 0 <= m <= n - 1:
-        raise ValueError(f"coefficient index {m} outside 0..{n - 1}")
-    num = stirling1_unsigned(n - 2, m) + (n - 2) * stirling1_unsigned(n - 2, m - 1)
-    return Fraction(num, math.factorial(n - 1))
-
-
 def verify_rank2_inequalities(n_max: int) -> bool:
     """Exact check of the Stirling inequalities behind rank-2 positivity,
     each over the range where it genuinely holds.
@@ -378,8 +367,6 @@ def verify_rank2_inequalities(n_max: int) -> bool:
                 which settles (reduced) for every m >= 13 through the
                 log-concavity bound [n over m+1]/[n over m] >= 2(1/m - 1/n).
     (reduced12) [n over 11] <= 4082 [n over 13] for 13 <= n <= n_max.
-    (target2)   the m = 2 instance of (target) for 4 <= n <= n_max,
-                checked on its own as the binding case.
 
     All comparisons are integer arithmetic (the n/2 factors are cleared).
     Rows are rolled three at a time instead of memoizing the triangular
@@ -407,10 +394,6 @@ def verify_rank2_inequalities(n_max: int) -> bool:
             rhs = get(row_n2, m) + (n - 2) * get(row_n2, m - 1)
             if 2 * lhs < n * rhs:
                 return False
-        lhs = row[3] + (n - 1) * get(row_n1, 3)
-        rhs = get(row_n2, 2) + (n - 2) * get(row_n2, 1)
-        if 2 * lhs < n * rhs:
-            return False
         if n >= 13:
             for m in range(3, 13):
                 if row[m - 1] > row[m + 1] * (2**m - m - 2):

@@ -7,10 +7,13 @@ k-subsets that pairwise intersect in at most k - 2 elements, i.e. a
 constant-weight binary code of minimum Hamming distance 4, i.e. a stable
 set in the Johnson graph J(n, k).
 
-Subsets are stored as bit masks over machine words (bit i - 1 represents
-element i), which caps the ground set at n = 64.  Two distinct k-subsets
-are at Hamming distance 2 exactly when they share a (k-1)-subset, so the
-distance-4 condition is checked on the lambda * k shadows of the family.
+Subsets are stored as bit masks in Python ints (bit i - 1 represents
+element i).  Ints have no fixed width, so MAX_GROUND_SET is not a limit of
+the representation but an input guard: it rejects matroid files and codes
+far beyond the sizes at which enumeration and the oracle are feasible.
+Two distinct k-subsets are at Hamming distance 2 exactly when they share a
+(k-1)-subset, so the distance-4 condition is checked on the lambda * k
+shadows of the family.
 """
 
 from __future__ import annotations

@@ -14,27 +14,12 @@ from typing import Iterator
 
 from .codes import weight_k_masks
 from .errors import BudgetExceededError
-from .matroid import (
-    SparsePavingMatroid,
-    circuit_hyperplane_bound,
-    facet_description,
-)
+from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 from .ratpoly import Polynomial, interpolate_at_naturals
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
 ORACLE_POLY_MAX_N = 8
-
-
-def point_in_dilate(m: SparsePavingMatroid, x: tuple[int, ...], t: int, *, interior: bool = False) -> bool:
-    """Membership of x in t * P(M) (or its relative interior), evaluated
-    directly from the facet description."""
-    if len(x) != m.n:
-        raise ValueError("point has wrong dimension")
-    constraints = facet_description(m)
-    if interior:
-        return all(c.holds_strict(x, t) for c in constraints)
-    return all(c.holds(x, t) for c in constraints)
 
 
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:

@@ -7,17 +7,18 @@ that the zero polynomial has an empty coefficient tuple and degree equal
 to the NEG_INFINITY sentinel.
 
 The kernels (evaluation, multiplication, the binomial polynomials, the
-Taylor shift and interpolation) work on an integer form instead: integer
-numerators over one common denominator, the lcm of the coefficient
-denominators.  Every intermediate step is integer arithmetic, and a
-`Fraction` (with its one gcd) is built only once per output coefficient.
+Taylor shift and interpolation at 0..d) work on an integer form instead:
+integer numerators over one common denominator, the lcm of the
+coefficient denominators.  Every intermediate step is integer arithmetic,
+and a `Fraction` (with its one gcd) is built only once per output
+coefficient.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
-function), unsigned Stirling numbers of the first kind, and exact harmonic
-numbers.  The Stirling and harmonic values are memoized in growing tables
-because coefficient bounds re-read the same rows heavily; table growth is
-lock-guarded so concurrent readers only ever see fully built rows.
+function) and exact harmonic numbers.  The harmonic values are memoized in
+growing tables because coefficient bounds re-read them heavily; table
+growth is lock-guarded so concurrent readers only ever see fully built
+entries.
 """
 
 from __future__ import annotations
@@ -201,34 +202,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Triangular table of unsigned Stirling numbers of the first kind; row n
-# holds [n over 0] .. [n over n].  Rows are append-only, so readers outside
-# the lock only ever observe completed rows.
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
-
-
-def stirling1_unsigned(n: int, m: int) -> int:
-    """Unsigned Stirling number of the first kind [n over m].
-
-    Counts permutations of n elements with exactly m cycles; satisfies
-    [n over m] = (n-1) [n-1 over m] + [n-1 over m-1].
-    """
-    if n < 0 or m < 0 or m > n:
-        return 0
-    if n >= len(_stirling_rows):
-        with _stirling_lock:
-            while len(_stirling_rows) <= n:
-                j = len(_stirling_rows)
-                prev = _stirling_rows[j - 1]
-                row = [0] * (j + 1)
-                for i in range(1, j + 1):
-                    above = prev[i] if i < j else 0
-                    row[i] = (j - 1) * above + prev[i - 1]
-                _stirling_rows.append(row)
-    return _stirling_rows[n][m]
-
-
 _harmonic_vals: list[Fraction] = [Fraction(0)]
 _harmonic2_vals: list[Fraction] = [Fraction(0)]
 _harmonic_lock = threading.Lock()
@@ -293,31 +266,6 @@ def poly_shift(p: Polynomial, c: RatLike) -> Polynomial:
         for j in range(d - 1, i - 1, -1):
             work[j] += a * work[j + 1]
     return Polynomial._from_int_form([x * b**m for m, x in enumerate(work)], den * b**d)
-
-
-def interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    Newton divided differences over exact rationals.  Abscissae must be
-    pairwise distinct and the list nonempty.
-    """
-    if not points:
-        raise ValueError("degenerate interpolation input")
-    xs = [_as_fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("degenerate interpolation input")
-    coef = [_as_fraction(y) for _, y in points]
-    d = len(points) - 1
-    for j in range(1, d + 1):
-        for i in range(d, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    result = Polynomial([coef[0]])
-    basis = Polynomial([1])
-    for j in range(1, d + 1):
-        basis = basis * Polynomial([-xs[j - 1], 1])
-        if coef[j]:
-            result = result + coef[j] * basis
-    return result
 
 
 def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:

@@ -20,7 +20,7 @@ from itertools import product
 from operator import le
 from typing import Callable, Iterator
 
-from .codes import gs_lower_bound, gs_partition, max_ch_upper_bound
+from .codes import gs_lower_bound, gs_partition
 from .ehrhart import (
     counterexample_inequality,
     counterexample_inequality_strong9,
@@ -33,7 +33,7 @@ from .ehrhart import (
     verify_rank2_inequalities,
 )
 from .hstar import hstar, is_real_rooted
-from .matroid import facet_description, rank_of
+from .matroid import circuit_hyperplane_bound, facet_description, rank_of
 from .oracle import enumerate_small_matroids, oracle_count, oracle_interior_count
 from .ratpoly import Polynomial
 
@@ -68,7 +68,7 @@ class CheckResult:
 def _capped_poly(k: int, n: int) -> Polynomial:
     """ehr_uniform minus the packing-bound multiple of the shifted minimal
     polynomial; equals ehr_sparse at the largest conceivable lambda."""
-    lam = max_ch_upper_bound(n, k)
+    lam = circuit_hyperplane_bound(n, k)
     if lam == 0:
         return ehr_uniform(k, n)
     return ehr_uniform(k, n) - lam * ehr_minimal_shifted(k, n)

@@ -166,6 +166,11 @@ def test_search_text_and_csv(capsys) -> None:
     )
     header = out.splitlines()[0]
     assert header == "n,k,lambda,provenance,coefficients,negative_indices,ehrhart_positive"
+    # a grid with no feasible rank still prints the header
+    code, out = run_cli(
+        capsys, "search", "--n-range", "3:3", "--k-range", "5:9", "--format", "csv"
+    )
+    assert code == 0 and out == header + "\n"
 
 
 def test_search_json_stream(capsys) -> None:
@@ -261,16 +266,14 @@ def test_entry_point_determinism() -> None:
     assert first.stdout.count(b"\n") == 10
 
 
-def test_config_from_args_defaults() -> None:
+def test_parser_defaults() -> None:
     parser = cli.build_parser()
-    cfg = cli.config_from_args(parser.parse_args(["uniform", "--n", "5", "--k", "2"]))
-    assert cfg.subcommand == "uniform"
-    assert cfg.n == 5 and cfg.k == 2
-    assert cfg.output_format == "text"
-    cfg = cli.config_from_args(
-        parser.parse_args(["sparse", "--n", "6", "--k", "3", "--lambda", "2"])
-    )
-    assert cfg.lam == 2 and cfg.lambda_provenance == "user"
+    args = parser.parse_args(["uniform", "--n", "5", "--k", "2"])
+    assert args.subcommand == "uniform"
+    assert args.n == 5 and args.k == 2
+    assert args.format == "text"
+    args = parser.parse_args(["sparse", "--n", "6", "--k", "3", "--lambda", "2"])
+    assert args.lam == 2 and args.provenance == "user"
 
 
 def test_code_enumerates_each_word_once(capsys, monkeypatch) -> None:
@@ -290,8 +293,10 @@ def test_code_enumerates_each_word_once(capsys, monkeypatch) -> None:
     assert d["class_sizes"][d["chosen_index"]] == max(d["class_sizes"])
 
 
-# sha256 of stdout, recorded before the polynomial kernels moved to integer
-# arithmetic; the output must stay byte-identical
+# sha256 of stdout, each recorded before a change that had to keep it
+# byte-identical: the entries up to "bounds" before the polynomial kernels
+# moved to integer arithmetic or the oracle became a dynamic program, the
+# ones after it before the record writers of `cli` were merged into one
 GOLDEN_STDOUT = {
     "uniform": (
         ["uniform", "--n", "12", "--k", "5"],
@@ -337,10 +342,122 @@ GOLDEN_STDOUT = {
         ["bounds", "--n", "20", "--k", "9"],
         "a11c217b788fb58a92594d9ce13637a72e2586c87b5338d5d1462a9d2452240b",
     ),
+    "uniform-json": (
+        ["uniform", "--n", "12", "--k", "5", "--format", "json"],
+        "fd2377f676e30506efb2b550b49d92e712a9ef4188598593a9a4ec88d032089b",
+    ),
+    "uniform-csv": (
+        ["uniform", "--n", "12", "--k", "5", "--format", "csv"],
+        "7628213d2696e1bbd200307aeb5c295086069bb13be1e2000a49df6965fc8350",
+    ),
+    "minimal-json": (
+        ["minimal", "--n", "14", "--k", "4", "--format", "json"],
+        "4f2bb45f934a45152941c81aeac3796ed7b22488f88a83d5a6970151fd45d9dd",
+    ),
+    "minimal-csv": (
+        ["minimal", "--n", "14", "--k", "4", "--format", "csv"],
+        "7ec0c9b69b9806efb193f74ae59db0eb6439a1d99fc7db7b2f9f474cc9474efe",
+    ),
+    "minimal-shifted-json": (
+        ["minimal", "--n", "14", "--k", "4", "--shifted", "--format", "json"],
+        "02264d8c06d55f0a98f9522da66e02c8fda99f6cf01100b97647c781e96eb47a",
+    ),
+    "minimal-shifted-csv": (
+        ["minimal", "--n", "14", "--k", "4", "--shifted", "--format", "csv"],
+        "546dbf291e1d276b6e692a03c6ed303b548df2f30eb2efbe7681fa28898b9a9c",
+    ),
+    "sparse-csv": (
+        [
+            "sparse", "--n", "20", "--k", "9", "--lambda", "8398", "--provenance", "gs-bound",
+            "--format", "csv",
+        ],
+        "617133e243f0b70fa3df8c6a175a549816a397f5540e1d3020fe168b7e6cb7a2",
+    ),
+    "sparse-file-json": (
+        ["sparse", "--matroid-file", "{matroid_file}", "--format", "json"],
+        "402a4c2f25ae957057a8d0d7a7afe3d027531d067d9a46b0f0af17adf1012ac9",
+    ),
+    "sparse-file-csv": (
+        ["sparse", "--matroid-file", "{matroid_file}", "--format", "csv"],
+        "c93de707336329d3a9415d8d876913cc374d2791778d1c293481b775c4f1d5c9",
+    ),
+    "code-json": (
+        ["code", "--n", "10", "--k", "4", "--format", "json"],
+        "2eeb0126bca8e94c4bc822d956a8c62c131bae774e8161d0f547aaac45b9e649",
+    ),
+    "code-csv": (
+        ["code", "--n", "10", "--k", "4", "--format", "csv"],
+        "7d9177ccb3adeefab28be372928f69e65cbb21ccd99246ca9a1fd08f0e66f1b2",
+    ),
+    "code-output": (
+        ["code", "--n", "10", "--k", "4", "--output", "{output_file}"],
+        "5012a8c1d783c2a3a11631b848cc507d0afa7274a3b3d74795ba19916328a2d2",
+    ),
+    "code-output-json": (
+        ["code", "--n", "10", "--k", "4", "--output", "{output_file}", "--format", "json"],
+        "2eeb0126bca8e94c4bc822d956a8c62c131bae774e8161d0f547aaac45b9e649",
+    ),
+    "code-output-csv": (
+        ["code", "--n", "10", "--k", "4", "--output", "{output_file}", "--format", "csv"],
+        "7d9177ccb3adeefab28be372928f69e65cbb21ccd99246ca9a1fd08f0e66f1b2",
+    ),
+    "bounds-json": (
+        ["bounds", "--n", "20", "--k", "9", "--format", "json"],
+        "122e59be2864cc3f5f937bff4ba2329a78e744abf5ac5e1868769ae160e03e58",
+    ),
+    "bounds-csv": (
+        ["bounds", "--n", "20", "--k", "9", "--format", "csv"],
+        "48e21819228bf38d44881516024d19adf3872bf8af4b48a6ad6f320bc40b9976",
+    ),
+    "bounds-k1": (
+        ["bounds", "--n", "6", "--k", "1"],
+        "22aa88bbef0c0508712e1552913f352f235ec283915b4c75455b38e146c9cd9f",
+    ),
+    "bounds-k1-json": (
+        ["bounds", "--n", "6", "--k", "1", "--format", "json"],
+        "136a089f08ff2a03dca1e77ad425b6c4f924e2c2a800ec220801aa615b8b1654",
+    ),
+    "bounds-k1-csv": (
+        ["bounds", "--n", "6", "--k", "1", "--format", "csv"],
+        "c92cca497e3d953c0f246a18bf6b2395c107b2488258524bac3de35965b7358a",
+    ),
+    "search-json": (
+        ["search", "--n-range", "18:22", "--k-range", "7:11", "--format", "json"],
+        "1bf952aca937d018ce87628d2080e0f91c286086bc57fd37e1cb2a0f81cf5e76",
+    ),
+    "search-text": (
+        ["search", "--n-range", "18:22", "--k-range", "7:11"],
+        "7309d02fd472e218d7d70b3b34d27a151d8640a222b9e5fde0c2de5e95da591e",
+    ),
+    "hstar-json": (
+        ["hstar", "--n", "20", "--k", "9", "--lambda", "8398", "--format", "json"],
+        "039640db60706e2e49ff262021c45bcd7964792dc879f6ced362bfb712b7ff87",
+    ),
+    "hstar-csv": (
+        ["hstar", "--n", "20", "--k", "9", "--lambda", "8398", "--format", "csv"],
+        "1ec50e63e541ae672f63c9b88aef7608ebbe9ccd38563201ec20f28f76cc185d",
+    ),
+    "hstar-rooted-json": (
+        [
+            "hstar", "--n", "20", "--k", "9", "--lambda", "8398", "--check-real-rooted",
+            "--format", "json",
+        ],
+        "1d51285e10f96a49e764eae9453116a637c581cad1fb620379d5d2394630bb22",
+    ),
+    "hstar-rooted-csv": (
+        [
+            "hstar", "--n", "20", "--k", "9", "--lambda", "8398", "--check-real-rooted",
+            "--format", "csv",
+        ],
+        "6275f02c7d9e7bbeb86d8788dead5f1610c8d076a470ea0a6bfea6ac570426ad",
+    ),
 }
 
 # the file behind "{matroid_file}": rank 3 on 7 elements, lambda = 2
 GOLDEN_MATROID = "7 3\n1 2 3\n4 5 6\n"
+
+# sha256 of the file that `code --n 10 --k 4 --output {output_file}` writes
+GOLDEN_CODE_FILE = "c12a7980efdaf242957c02dd0eee50d85377ba8ccc65b5a12d59e1704346339d"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
@@ -348,7 +465,10 @@ def test_golden_stdout(name: str, tmp_path, capsys) -> None:
     argv, digest = GOLDEN_STDOUT[name]
     matroid_file = tmp_path / "m.txt"
     matroid_file.write_text(GOLDEN_MATROID, encoding="ascii")
-    argv = [str(matroid_file) if a == "{matroid_file}" else a for a in argv]
-    code, out = run_cli(capsys, *argv)
+    output_file = tmp_path / "out.txt"
+    paths = {"{matroid_file}": str(matroid_file), "{output_file}": str(output_file)}
+    code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "{output_file}" in argv:
+        assert hashlib.sha256(output_file.read_bytes()).hexdigest() == GOLDEN_CODE_FILE

@@ -10,7 +10,6 @@ from ehrpos.codes import (
     gs_classes,
     gs_lower_bound,
     gs_residue,
-    max_ch_upper_bound,
     weight_k_masks,
 )
 from ehrpos.errors import BudgetExceededError
@@ -94,13 +93,13 @@ def test_bound_sandwich() -> None:
             best = max(gs_classes(n, k))
             assert best >= gs_lower_bound(n, k)
             assert best >= -(-total // n)
-            assert best <= max_ch_upper_bound(n, k)
+            assert best <= circuit_hyperplane_bound(n, k)
 
 
 def test_rank2_class_meets_packing_bound() -> None:
     # weight-2 classes are matchings; the best one is always maximum
     for n in range(4, 17):
-        assert max_ch_upper_bound(n, 2) == n // 2
+        assert circuit_hyperplane_bound(n, 2) == n // 2
         code = gs_best_class(n, 2)
         assert len(code.words) == n // 2
 
@@ -108,8 +107,7 @@ def test_rank2_class_meets_packing_bound() -> None:
 def test_bounds_scalar_values() -> None:
     assert gs_lower_bound(20, 9) == binomial(20, 9) // 20
     assert gs_lower_bound(18, 9) == 2701
-    assert max_ch_upper_bound(18, 9) == 4862
-    assert max_ch_upper_bound(20, 9) == circuit_hyperplane_bound(20, 9)
+    assert circuit_hyperplane_bound(18, 9) == 4862
     assert gs_lower_bound(0, 1) == 0
     assert gs_lower_bound(5, 7) == 0
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrpos import ehrhart
-from ehrpos.codes import gs_lower_bound, max_ch_upper_bound
+from ehrpos.codes import gs_lower_bound
 from ehrpos.ehrhart import (
     PROVENANCES,
     CounterexampleReport,
-    coeff_minimal_shifted_rank2,
     count_points_uniform,
     counterexample_inequality,
     counterexample_inequality_strong9,
@@ -29,6 +28,7 @@ from ehrpos.ehrhart import (
     upper_bound_quad_uniform,
     verify_rank2_inequalities,
 )
+from ehrpos.matroid import circuit_hyperplane_bound
 from ehrpos.ratpoly import Polynomial, binomial, poly_shift
 
 # transition points of the harmonic inequality, found by stepping n upward
@@ -124,7 +124,7 @@ def test_ehr_minimal_shifted_raises_on_a_negative_coefficient(monkeypatch) -> No
 def test_ehr_sparse_basics() -> None:
     for n in range(2, 9):
         for k in range(1, n):
-            for lam in range(min(3, max_ch_upper_bound(n, k)) + 1):
+            for lam in range(min(3, circuit_hyperplane_bound(n, k)) + 1):
                 p = ehr_sparse(n, k, lam)
                 assert p(0) == 1
                 assert p(1) == binomial(n, k) - lam
@@ -136,7 +136,7 @@ def test_ehr_sparse_basics() -> None:
 
 def test_ehr_sparse_telescopes() -> None:
     shifted = ehr_minimal_shifted(3, 7)
-    for lam in range(1, max_ch_upper_bound(7, 3) + 1):
+    for lam in range(1, circuit_hyperplane_bound(7, 3) + 1):
         assert ehr_sparse(7, 3, lam) == ehr_sparse(7, 3, lam - 1) - shifted
     assert ehr_sparse(7, 3, 0) == ehr_uniform(3, 7)
 
@@ -144,7 +144,7 @@ def test_ehr_sparse_telescopes() -> None:
 def test_ehr_sparse_duality() -> None:
     for n in range(2, 21):
         for k in range(1, n // 2 + 1):
-            lam = min(max_ch_upper_bound(n, k), max_ch_upper_bound(n, n - k), 5)
+            lam = min(circuit_hyperplane_bound(n, k), circuit_hyperplane_bound(n, n - k), 5)
             assert ehr_sparse(n, k, lam) == ehr_sparse(n, n - k, lam)
 
 
@@ -152,7 +152,7 @@ def test_ehr_sparse_lambda_monotonicity() -> None:
     for n in (6, 9, 12):
         k = n // 2
         prev = ehr_sparse(n, k, 0)
-        for lam in range(1, min(8, max_ch_upper_bound(n, k)) + 1):
+        for lam in range(1, min(8, circuit_hyperplane_bound(n, k)) + 1):
             cur = ehr_sparse(n, k, lam)
             assert all(
                 cur.coeff(i) <= prev.coeff(i) for i in range(n)
@@ -179,7 +179,7 @@ def test_top_and_linear_coefficients_stay_positive() -> None:
     # low dimension forces full positivity
     for n in range(2, 8):
         for k in range(1, n):
-            for lam in range(min(3, max_ch_upper_bound(n, k)) + 1):
+            for lam in range(min(3, circuit_hyperplane_bound(n, k)) + 1):
                 q = ehr_sparse(n, k, lam)
                 assert all(c >= 0 for c in q.coeffs)
 
@@ -284,15 +284,6 @@ def test_rank2_poly_positive() -> None:
         assert all(c > 0 for c in rank2_poly(n).coeffs)
 
 
-def test_coeff_minimal_shifted_rank2() -> None:
-    for n in range(3, 30):
-        p = ehr_minimal_shifted(2, n)
-        for m in range(n):
-            assert coeff_minimal_shifted_rank2(n, m) == p.coeff(m)
-    with pytest.raises(ValueError):
-        coeff_minimal_shifted_rank2(5, 5)
-
-
 def test_verify_rank2_inequalities() -> None:
     assert verify_rank2_inequalities(150)
     with pytest.raises(ValueError, match="budget"):
@@ -347,7 +338,7 @@ def test_search_clamps_rank_range() -> None:
 @given(st.integers(2, 16), st.data())
 def test_sparse_evaluations_are_integers(n: int, data: st.DataObject) -> None:
     k = data.draw(st.integers(1, n - 1))
-    lam = data.draw(st.integers(0, min(6, max_ch_upper_bound(n, k))))
+    lam = data.draw(st.integers(0, min(6, circuit_hyperplane_bound(n, k))))
     p = ehr_sparse(n, k, lam)
     for t in range(5):
         assert p(t) == int(p(t))

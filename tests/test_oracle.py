@@ -12,8 +12,10 @@ from ehrpos.codes import gs_best_class
 from ehrpos.ehrhart import count_points_uniform, ehr_sparse
 from ehrpos.errors import BudgetExceededError
 from ehrpos.matroid import (
+    LinearConstraint,
     SparsePavingMatroid,
     circuit_hyperplane_bound,
+    facet_description,
     mask_from_elements,
     validate,
 )
@@ -24,7 +26,6 @@ from ehrpos.oracle import (
     oracle_count,
     oracle_ehrhart,
     oracle_interior_count,
-    point_in_dilate,
 )
 
 
@@ -62,11 +63,30 @@ def dfs_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     return rec(0, k * t)
 
 
+def holds_all(
+    constraints: list[LinearConstraint], x: tuple[int, ...], t: int, *, interior: bool
+) -> bool:
+    if interior:
+        return all(c.holds_strict(x, t) for c in constraints)
+    return all(c.holds(x, t) for c in constraints)
+
+
+def point_in_dilate(
+    m: SparsePavingMatroid, x: tuple[int, ...], t: int, *, interior: bool = False
+) -> bool:
+    """Membership of x in t * P(M) (or its relative interior), evaluated
+    directly from the facet description."""
+    if len(x) != m.n:
+        raise ValueError("point has wrong dimension")
+    return holds_all(facet_description(m), x, t, interior=interior)
+
+
 def box_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     """Reference route: every point of the box [0, t]^n, kept when the
-    facet description admits it."""
+    facet description admits it.  The description is built once."""
+    constraints = facet_description(m)
     return sum(
-        point_in_dilate(m, x, t, interior=interior)
+        holds_all(constraints, x, t, interior=interior)
         for x in product(range(t + 1), repeat=m.n)
     )
 

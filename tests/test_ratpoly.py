@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ehrpos.ratpoly import (
@@ -14,10 +14,8 @@ from ehrpos.ratpoly import (
     binomial,
     harmonic,
     harmonic2,
-    interpolate,
     interpolate_at_naturals,
     poly_shift,
-    stirling1_unsigned,
 )
 
 fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3)
@@ -86,28 +84,17 @@ def test_binomial_matches_math_comb() -> None:
     assert binomial(-1, 0) == 0
 
 
-def test_stirling_recurrence_and_row_sums() -> None:
-    # row sum over k of [n over k] is n!
-    for n in range(26):
-        assert sum(stirling1_unsigned(n, k) for k in range(n + 1)) == math.factorial(n)
-    for n in range(2, 26):
-        for k in range(1, n + 1):
-            lhs = stirling1_unsigned(n, k)
-            rhs = (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
-            assert lhs == rhs
-    assert stirling1_unsigned(5, 0) == 0
-    assert stirling1_unsigned(0, 0) == 1
-    assert stirling1_unsigned(4, 7) == 0
-
-
 def test_stirling_log_concavity_ratio() -> None:
     # consecutive-column ratio lower bound used by the rank-2 analysis:
-    # [n over m+1] / [n over m] >= 2 (1/m - 1/n)
-    for n in range(3, 61):
+    # [n over m+1] / [n over m] >= 2 (1/m - 1/n), on rows of unsigned
+    # Stirling numbers of the first kind rolled by the recurrence
+    # [n over m] = (n-1) [n-1 over m] + [n-1 over m-1]
+    row = [1]
+    for n in range(1, 61):
+        row = [(n - 1) * a + b for a, b in zip(row + [0], [0] + row)]
+        assert sum(row) == math.factorial(n)
         for m in range(1, n):
-            a = stirling1_unsigned(n, m)
-            b = stirling1_unsigned(n, m + 1)
-            assert b * m * n >= 2 * (n - m) * a
+            assert row[m + 1] * m * n >= 2 * (n - m) * row[m]
 
 
 def test_harmonic_values() -> None:
@@ -146,29 +133,12 @@ def test_poly_shift_round_trip(p: Polynomial) -> None:
 @given(st.lists(fractions, min_size=1, max_size=7))
 def test_interpolate_left_inverse(coeffs: list[Fraction]) -> None:
     p = Polynomial(coeffs)
-    xs = range(len(coeffs))
-    points = [(Fraction(x), p(Fraction(x))) for x in xs]
-    assert interpolate(points) == p
+    assert interpolate_at_naturals([p(Fraction(x)) for x in range(len(coeffs))]) == p
 
 
-def test_interpolate_rejects_duplicate_nodes() -> None:
+def test_interpolate_at_naturals_rejects_empty_input() -> None:
     with pytest.raises(ValueError, match="degenerate interpolation input"):
-        interpolate([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))])
-    with pytest.raises(ValueError, match="degenerate interpolation input"):
-        interpolate([])
-
-
-def test_interpolate_nonconsecutive_nodes() -> None:
-    # x^2 through three scattered nodes
-    pts = [(Fraction(-3), Fraction(9)), (Fraction(0), Fraction(0)), (Fraction(5), Fraction(25))]
-    assert interpolate(pts) == Polynomial([0, 0, 1])
-
-
-@settings(max_examples=60)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
-def test_interpolate_at_naturals_agrees(values: list[int]) -> None:
-    pts = [(Fraction(i), Fraction(v)) for i, v in enumerate(values)]
-    assert interpolate_at_naturals(values) == interpolate(pts)
+        interpolate_at_naturals([])
 
 
 def test_interpolate_at_naturals_integer_inputs_only() -> None:
