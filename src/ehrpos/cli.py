@@ -13,7 +13,9 @@ identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -36,6 +38,11 @@ from .hstar import hstar, is_real_rooted
 from .matroid import circuit_hyperplane_bound, matroid_from_text, matroid_to_text
 from .oracle import oracle_count
 from .verify import iter_results
+
+# `hstar --check-real-rooted` refuses h*-polynomials of higher degree.  The
+# degree does not bound the coefficient size, so it does not bound the time:
+# (80, 40) is degree 79 and still takes about 12 s.
+REAL_ROOTED_MAX_DEGREE = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +67,9 @@ def _range_arg(text: str) -> tuple[int, int]:
     return bounds
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once, on the first call; each parse_args returns a fresh Namespace
     parser = _Parser(prog="ehrpos", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -201,24 +210,26 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
 
 def _cmd_code(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
-    sizes, code = gs_partition(n, k, max_words=args.max_words)
-    matroid_text = matroid_to_text(code.to_matroid(check_pairwise=False))
-    record = {
-        "n": n,
-        "k": k,
-        "class_sizes": sizes,
-        "chosen_index": code.class_index,
-        "lower_bound": gs_lower_bound(n, k),
-        "upper_bound": circuit_hyperplane_bound(n, k),
-    }
-    if args.format != "json":  # csv and text list the class sizes last
-        record["class_sizes"] = record.pop("class_sizes")
-    _emit(args.format, record, _text_lines(record))
-    if args.output is not None:
-        with open(args.output, "w", encoding="ascii") as fh:
+    # opened before the enumeration, so an unwritable path fails with empty stdout
+    out = args.output
+    with contextlib.nullcontext() if out is None else open(out, "w", encoding="ascii") as fh:
+        sizes, code = gs_partition(n, k, max_words=args.max_words)
+        matroid_text = matroid_to_text(code.to_matroid(check_pairwise=False))
+        record = {
+            "n": n,
+            "k": k,
+            "class_sizes": sizes,
+            "chosen_index": code.class_index,
+            "lower_bound": gs_lower_bound(n, k),
+            "upper_bound": circuit_hyperplane_bound(n, k),
+        }
+        if args.format != "json":  # csv and text list the class sizes last
+            record["class_sizes"] = record.pop("class_sizes")
+        _emit(args.format, record, _text_lines(record))
+        if fh is not None:
             fh.write(matroid_text)
-    elif args.format == "text":
-        print(matroid_text, end="")
+        elif args.format == "text":
+            print(matroid_text, end="")
     return 0
 
 
@@ -283,7 +294,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_hstar(args: argparse.Namespace) -> int:
     p = ehr_sparse(args.n, args.k, args.lam)
-    h = hstar(p, int(p.degree))
+    dim = int(p.degree)
+    h = hstar(p, dim)
+    if args.check_real_rooted and dim > REAL_ROOTED_MAX_DEGREE:
+        raise BudgetExceededError(
+            f"real-rootedness check too large: degree {dim} (max {REAL_ROOTED_MAX_DEGREE})"
+        )
     rooted = is_real_rooted(h) if args.check_real_rooted else None
     record = {
         "n": args.n,

@@ -11,11 +11,12 @@ inverting gives the closed form
 exact over Fractions.  For genuine Ehrhart polynomials every h*_i is a
 nonnegative integer and h*_0 = 1.
 
-Real-rootedness of a rational polynomial is decided exactly with Sturm
-sequences: divide out gcd(p, p') to get the squarefree part q, build the
-chain of negated remainders, and count sign variations at -infinity and
-+infinity; q (hence p) has all roots real iff the variation difference
-equals deg q.
+Real-rootedness of a rational polynomial p is decided exactly with one
+Sturm chain of (p, p') over the integers: negated pseudo-remainders, each
+scaled by a positive integer and made primitive, so every sign is that of
+a true Sturm chain.  The chain ends in g = gcd(p, p'), which divides every
+member, so the sign variations at -infinity and +infinity count the
+distinct real roots; p is real-rooted iff that count is deg p - deg g.
 """
 
 from __future__ import annotations
@@ -46,36 +47,31 @@ def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     ]
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while b:
-        _, r = divmod(a, b)
-        if r:
-            # monic normalization keeps the coefficient growth in check
-            r = r * Fraction(1, r.coeffs[-1])
-        a, b = b, r
-    return a
+def _primitive(nums: list[int]) -> list[int]:
+    # divide by the positive gcd of the coefficients: every sign stays
+    g = math.gcd(*nums)
+    return [c // g for c in nums]
 
 
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    g = _poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = divmod(p, g)
-    if r:
-        raise ArithmeticError(f"gcd(p, p') does not divide p: remainder {r}")
-    return q
+def _neg_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of -(a mod b), trailing zeros stripped.
 
-
-def _sturm_chain(q: Polynomial) -> list[Polynomial]:
-    chain = [q, q.derivative()]
-    while chain[-1]:
-        _, r = divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        # a positive scale keeps every sign the variation count reads, and
-        # stops the remainders' coefficients from growing with the chain
-        chain.append(r * Fraction(-1, abs(r.coeffs[-1])))
-    return [c for c in chain if c]
+    Each elimination step scales the running remainder by |lc(b)|, not
+    lc(b), so the multiple stays positive and no Fraction is built.
+    """
+    if b[-1] < 0:  # a mod b == a mod -b
+        b = [-x for x in b]
+    r = list(a)
+    nb = len(b)
+    s, low = b[-1], b[:-1]
+    for i in range(len(r) - nb, -1, -1):
+        top = r.pop()  # coefficient of t**(i + nb - 1)
+        if top:
+            r[:i] = [s * x for x in r[:i]]
+            r[i:] = [s * x - top * y for x, y in zip(r[i:], low)]
+    while r and r[-1] == 0:
+        r.pop()
+    return [-x for x in r]
 
 
 def _sign_variations(signs: Sequence[int]) -> int:
@@ -93,20 +89,27 @@ def _sign_variations(signs: Sequence[int]) -> int:
 def is_real_rooted(coeffs: Sequence[RatLike]) -> bool:
     """True iff all complex roots of the given polynomial are real.
 
-    Exact Sturm-sequence decision; multiple roots are allowed (the test
-    runs on the squarefree part, which has the same root set).
+    Exact Sturm-chain decision over the integers; multiple roots are
+    allowed (the chain counts distinct roots, and gcd(p, p') accounts for
+    the repeats).
     """
     p = Polynomial(coeffs)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return True
-    q = _squarefree_part(p)
-    chain = _sturm_chain(q)
-    at_pos = [1 if c.coeffs[-1] > 0 else -1 for c in chain]
+    nums = _primitive(list(p._int_form()[0]))
+    chain = [nums, _primitive([m * c for m, c in enumerate(nums)][1:])]
+    while True:
+        r = _neg_pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive(r))
+    at_pos = [1 if c[-1] > 0 else -1 for c in chain]
     at_neg = [
-        s if len(c.coeffs) % 2 else -s  # odd degree flips sign at -infinity
+        s if len(c) % 2 else -s  # odd degree flips sign at -infinity
         for s, c in zip(at_pos, chain)
     ]
     real_roots = _sign_variations(at_neg) - _sign_variations(at_pos)
-    return real_roots == q.degree
+    # chain[-1] is gcd(p, p') up to a constant factor
+    return real_roots == len(nums) - len(chain[-1])

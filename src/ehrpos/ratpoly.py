@@ -167,30 +167,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Exact polynomial long division: self = q * other + r, deg r < deg other."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        nb = len(other.coeffs)
-        rem = list(self.coeffs)
-        if len(rem) < nb:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (len(rem) - nb + 1)
-        lead = other.coeffs[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + nb - 1] / lead
-            if c:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        rem[i + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def derivative(self) -> Polynomial:
-        return Polynomial([m * c for m, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(str(c) for c in self.coeffs) + "])"
 

@@ -144,6 +144,16 @@ def test_code_budget_is_exit_2(capsys) -> None:
     assert "class enumeration too large" in capsys.readouterr().err
 
 
+def test_code_unwritable_output_fails_fast(tmp_path, capsys) -> None:
+    # the path is opened before the words are enumerated: nothing on stdout
+    path = tmp_path / "missing" / "x.txt"
+    code = cli.main(["code", "--n", "10", "--k", "4", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
 def test_bounds_output(capsys) -> None:
     code, out = run_cli(capsys, "bounds", "--n", "18", "--k", "9")
     assert code == 0
@@ -207,6 +217,19 @@ def test_hstar_json(capsys) -> None:
     d = json.loads(out)
     assert d["hstar"] == ["1/1", "2/1", "1/1", "0/1"]
     assert d["real_rooted"] is None
+
+
+def test_hstar_real_rooted_degree_budget_is_exit_2(capsys) -> None:
+    n = cli.REAL_ROOTED_MAX_DEGREE + 2  # degree n - 1, one above the budget
+    code = cli.main(["hstar", "--n", str(n), "--k", "2", "--lambda", "0", "--check-real-rooted"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: real-rootedness check too large")
+    # without the check the same h*-vector is printed
+    code, out = run_cli(capsys, "hstar", "--n", str(n), "--k", "2", "--lambda", "0")
+    assert code == 0
+    assert out.startswith("h*: 1, ")
 
 
 def test_oracle_subcommand(tmp_path, capsys) -> None:
@@ -274,6 +297,28 @@ def test_parser_defaults() -> None:
     assert args.format == "text"
     args = parser.parse_args(["sparse", "--n", "6", "--k", "3", "--lambda", "2"])
     assert args.lam == 2 and args.provenance == "user"
+
+
+def test_main_does_not_leak_arguments(tmp_path, capsys, monkeypatch) -> None:
+    # the parser is built once per process; each call must still parse afresh
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    handler = cli._HANDLERS["sparse"]
+
+    def recording(args):
+        seen.append(args)
+        return handler(args)
+
+    monkeypatch.setitem(cli._HANDLERS, "sparse", recording)
+    f = tmp_path / "m.txt"
+    f.write_text("6 3\n1 2 3\n4 5 6\n", encoding="ascii")
+    first = ["sparse", "--n", "6", "--k", "3", "--lambda", "2", "--provenance", "gs-bound"]
+    assert cli.main(first) == 0
+    assert cli.main(["sparse", "--matroid-file", str(f)]) == 0
+    capsys.readouterr()
+    assert (seen[0].lam, seen[0].provenance) == (2, "gs-bound")
+    assert seen[1].lam is None and seen[1].n is None and seen[1].k is None
+    assert seen[1].provenance == "user"
 
 
 def test_code_enumerates_each_word_once(capsys, monkeypatch) -> None:

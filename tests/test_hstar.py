@@ -1,19 +1,15 @@
 from __future__ import annotations
 
-import importlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ehrpos.ehrhart import ehr_sparse, ehr_uniform, rank2_poly
 from ehrpos.hstar import hstar, is_real_rooted
-from ehrpos.ratpoly import Polynomial, binom_poly
-
-# the package exports the function hstar under the module's own name
-hstar_module = importlib.import_module("ehrpos.hstar")
+from ehrpos.ratpoly import NEG_INFINITY, Polynomial, RatLike, binom_poly
 
 
 def test_unimodular_simplex() -> None:
@@ -119,8 +115,114 @@ def test_hstar_matches_fraction_reference_on_ehrhart_polynomials() -> None:
         assert hstar(p, int(p.degree)) == _ref_hstar(p, int(p.degree))
 
 
-def test_squarefree_part_raises_when_gcd_does_not_divide(monkeypatch) -> None:
-    # z^2 + 1 is not divisible by z + 1: the division check must fire
-    monkeypatch.setattr(hstar_module, "_poly_gcd", lambda a, b: Polynomial([1, 1]))
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        is_real_rooted([1, 0, 1])
+def _ref_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    # Fraction long division: p = q * d + r with deg r < deg d
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    nb = len(d.coeffs)
+    rem = list(p.coeffs)
+    if len(rem) < nb:
+        return Polynomial(), p
+    quot = [Fraction(0)] * (len(rem) - nb + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + nb - 1] / d.coeffs[-1]
+        quot[i] = c
+        for j, b in enumerate(d.coeffs):
+            rem[i + j] -= c * b
+    return Polynomial(quot), Polynomial(rem)
+
+
+def _ref_derivative(p: Polynomial) -> Polynomial:
+    return Polynomial([m * c for m, c in enumerate(p.coeffs)][1:])
+
+
+def _ref_is_real_rooted(coeffs) -> bool:
+    # the two Fraction remainder sequences: q = p / gcd(p, p') by a monic
+    # Euclidean gcd, then the Sturm chain of (q, q'), whose variation count
+    # must equal deg q
+    p = Polynomial(coeffs)
+    if p.degree == 0:
+        return True
+    a, b = p, _ref_derivative(p)
+    while b:
+        r = _ref_divmod(a, b)[1]
+        a, b = b, (r * Fraction(1, r.coeffs[-1]) if r else r)
+    q, r = _ref_divmod(p, a)
+    assert not r
+    chain = [q, _ref_derivative(q)]
+    while chain[-1]:
+        r = _ref_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(r * Fraction(-1, abs(r.coeffs[-1])))
+    chain = [c for c in chain if c]
+
+    def variations(signs: list[int]) -> int:
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    at_pos = [1 if c.coeffs[-1] > 0 else -1 for c in chain]
+    at_neg = [s * (-1) ** int(c.degree) for s, c in zip(at_pos, chain)]
+    return variations(at_neg) - variations(at_pos) == q.degree
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3), max_size=8
+).map(Polynomial)
+
+
+@given(small_polys, small_polys)
+def test_ref_divmod_reconstructs(p: Polynomial, d: Polynomial) -> None:
+    if d.degree == NEG_INFINITY:
+        with pytest.raises(ZeroDivisionError):
+            _ref_divmod(p, d)
+        return
+    q, r = _ref_divmod(p, d)
+    assert q * d + r == p
+    assert r.degree < d.degree
+
+
+def _from_roots(roots: list[int], cofactor: list[RatLike]) -> Polynomial:
+    p = Polynomial(cofactor)
+    for r in roots:
+        p = p * Polynomial([-r, 1])
+    return p
+
+
+@given(
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=5).filter(any),
+    st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(5, 2)]),
+)
+@example([-1, -1], [1], Fraction(1))  # (t + 1)^2
+@example([1, 1, 1], [1], Fraction(1))  # (t - 1)^3
+@example([1, 1], [1, 0, 1], Fraction(1))  # (t - 1)^2 (t^2 + 1)
+@example([], [1, 0, 2, 0, 1], Fraction(1))  # (t^2 + 1)^2
+@example([1, -1], [1], Fraction(-3, 7))  # a negative lc with one nonzero elimination step
+def test_is_real_rooted_matches_fraction_reference(
+    roots: list[int], cofactor: list[int], scale: Fraction
+) -> None:
+    # degree <= 8: integer roots, repeated ones included, times a cofactor
+    # of degree <= 4 that may carry non-real pairs
+    p = _from_roots(roots, cofactor) * scale
+    assert is_real_rooted(p.coeffs) == _ref_is_real_rooted(p.coeffs)
+
+
+def test_is_real_rooted_with_nontrivial_gcd() -> None:
+    # gcd(p, p') of positive degree: repeated real roots and repeated pairs
+    assert is_real_rooted(_from_roots([-1] * 5 + [3, 3], [1, 2]).coeffs)
+    assert is_real_rooted(_from_roots([0] * 4 + [1] * 3, [1]).coeffs)
+    assert not is_real_rooted(_from_roots([-1], [1, 2, 3, 2, 1]).coeffs)  # (t^2+t+1)^2 (t+1)
+    assert not is_real_rooted(_from_roots([], [1, 0, 3, 0, 3, 0, 1]).coeffs)  # (t^2+1)^3
+
+
+def test_rank2_hstar_real_rooted_at_high_degree() -> None:
+    # the degrees 69..78 that `hstar --check-real-rooted` meets in the
+    # high-degree benchmark, where a wrong False would go unnoticed
+    for n in range(70, 80):
+        h = hstar(ehr_sparse(n, 2, n // 2), n - 1)
+        assert is_real_rooted(h) is True
+        assert _ref_is_real_rooted(h) is True
+    # negative control: nonnegative entries with an internal zero
+    h[len(h) // 2] = Fraction(0)
+    assert is_real_rooted(h) is False
+    assert _ref_is_real_rooted(h) is False
