@@ -43,6 +43,10 @@ from .verify import iter_results
 # degree does not bound the coefficient size, so it does not bound the time:
 # (80, 40) is degree 79 and still takes about 12 s.
 REAL_ROOTED_MAX_DEGREE = 100
+# `uniform`, `minimal`, `sparse --lambda`, `hstar` and `search` (at the top
+# of --n-range) refuse larger n.  The cost grows about as n^3.4; at n = 400
+# the worst k, about n / 2, takes 6-9 s per polynomial on a 2-core machine.
+POLY_MAX_N = 400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +177,13 @@ def _text_lines(record: dict) -> list[str]:
     return lines
 
 
+def _check_poly_n(n: int) -> None:
+    if n > POLY_MAX_N:
+        raise BudgetExceededError(f"polynomial too large: n = {n} (max {POLY_MAX_N})")
+
+
 def _cmd_polynomial(args: argparse.Namespace) -> int:
+    _check_poly_n(args.n)
     record: dict = {"n": args.n, "k": args.k}
     if args.subcommand == "uniform":
         p = ehr_uniform(args.k, args.n)
@@ -200,6 +210,7 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
     else:
         if args.n is None or args.k is None:
             raise ValueError("--n and --k are required with --lambda")
+        _check_poly_n(args.n)
         report = CounterexampleReport.build(args.n, args.k, args.lam, args.provenance)
     record = report.to_dict()
     lines = _text_lines({key: v for key, v in record.items() if key != "ehrhart_positive"})
@@ -256,6 +267,7 @@ _REPORT_COLUMNS = [
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _check_poly_n(args.n_range[1])
     records = [r.to_dict() for r in search_counterexamples(*args.n_range, *args.k_range)]
     lines = [
         f"n={r['n']} k={r['k']} lambda={r['lambda']} provenance={r['provenance']} "
@@ -293,6 +305,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_hstar(args: argparse.Namespace) -> int:
+    _check_poly_n(args.n)
     p = ehr_sparse(args.n, args.k, args.lam)
     dim = int(p.degree)
     h = hstar(p, dim)

@@ -54,6 +54,10 @@ def weight_k_masks(n: int, k: int) -> Iterator[int]:
         v = (((ripple ^ v) >> 2) // low) | ripple
 
 
+# _BYTE_SUMS[b] = sum of the bit positions of the byte b
+_BYTE_SUMS = tuple(sum(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def gs_residue(word: int, n: int) -> int:
     """Residue of a word: sum of (i - 1) over its elements i, mod n."""
     if word >> n:
@@ -79,8 +83,16 @@ def _residue_classes(n: int, k: int, max_words: int) -> list[list[int]]:
             f"class enumeration too large: binomial({n},{k}) = {total} > {max_words}"
         )
     classes: list[list[int]] = [[] for _ in range(n)]
+    # ascending words come in runs that share everything above the low
+    # byte: the residue of that part is computed once per run, and the low
+    # byte's position sum is looked up
+    high = -1
+    base = 0
     for w in weight_k_masks(n, k):
-        classes[gs_residue(w, n)].append(w)
+        if w >> 8 != high:
+            high = w >> 8
+            base = gs_residue(high << 8, n)
+        classes[(base + _BYTE_SUMS[w & 255]) % n].append(w)
     return classes
 
 

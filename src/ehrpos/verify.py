@@ -17,7 +17,6 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import le
 from typing import Callable, Iterator
 
 from .codes import gs_lower_bound, gs_partition
@@ -33,7 +32,7 @@ from .ehrhart import (
     verify_rank2_inequalities,
 )
 from .hstar import hstar, is_real_rooted
-from .matroid import circuit_hyperplane_bound, facet_description, rank_of
+from .matroid import LinearConstraint, circuit_hyperplane_bound, facet_description, rank_of
 from .oracle import enumerate_small_matroids, oracle_count, oracle_interior_count
 from .ratpoly import Polynomial
 
@@ -174,6 +173,8 @@ def check_oracle_certification() -> tuple[bool, str]:
     degenerate = 0
     for n in range(2, 7):
         for k in range(1, n):
+            # every matroid of one (n, k) shares the points and tables of a slice
+            slices = [_Slice(n, k, t) for t in (1, 2)]
             for m in enumerate_small_matroids(n, k, 3):
                 matroids += 1
                 p = ehr_sparse(n, k, m.lam)
@@ -192,9 +193,9 @@ def check_oracle_certification() -> tuple[bool, str]:
                     expected = (-1) ** (n - 1) * p(-t) if full_dim else 0
                     if interior != expected:
                         return False, f"reciprocity mismatch at {m}, t = {t}"
-                for t in (1, 2):
-                    if not _facet_rank_descriptions_agree(m, t):
-                        return False, f"facet/rank description mismatch at {m}, t = {t}"
+                for sl in slices:
+                    if not sl.agree(m):
+                        return False, f"facet/rank description mismatch at {m}, t = {sl.t}"
     detail = (
         f"{matroids} matroids certified (counts, reciprocity, facet/rank agreement); "
         f"{degenerate} degenerate polytopes handled by the zero-interior clause"
@@ -202,23 +203,53 @@ def check_oracle_certification() -> tuple[bool, str]:
     return True, detail
 
 
-def _facet_rank_descriptions_agree(m, t: int) -> bool:
-    """Compare facet membership with the rank description
-    sum_{i in A} x_i <= t * rank(A) for all A, over the whole box.
+class _Slice:
+    """The points {x in [0, t]^n : sum x = k t} of one (n, k, t), shared by
+    every rank-k matroid on n elements.  `agree(m)` holds when the facet
+    description of m and its rank description sum_{i in A} x_i <= t rank(A)
+    reject the same points, compared as bitsets (bit p for points[p]).
 
-    The right-hand sides t * rank(A) are computed once per matroid and t;
-    the left-hand sides of one box point come from `_subset_sums`.  The
-    facet side stays on `LinearConstraint.holds`, an independent route."""
-    constraints = facet_description(m)
-    caps = [t * rank_of(m, a) for a in range(1 << m.n)]
-    for x in product(range(t + 1), repeat=m.n):
-        if sum(x) != m.k * t:
-            continue
-        by_facets = all(c.holds(x, t) for c in constraints)
-        by_rank = all(map(le, _subset_sums(x), caps))
-        if by_facets != by_rank:
-            return False
-    return True
+    The routes stay independent.  The facet side memoizes per constraint
+    the points where `LinearConstraint.holds` is False; the constraints
+    recur across matroids.  The rank side tabulates from `_subset_sums`,
+    per mask a and rank r, the points with sum_{i in a} x_i > t r.
+    """
+
+    def __init__(self, n: int, k: int, t: int) -> None:
+        self.k, self.t = k, t
+        self.points = [x for x in product(range(t + 1), repeat=n) if sum(x) == k * t]
+        self.over = [[0] * (k + 1) for _ in range(1 << n)]
+        for p, x in enumerate(self.points):
+            bit = 1 << p
+            for row, s in zip(self.over, _subset_sums(x)):
+                # s > t * r exactly for r < ceil(s / t), which is at most k
+                for r in range(-(-s // t)):
+                    row[r] |= bit
+        self._rejects: dict[LinearConstraint, int] = {}
+
+    def rejected_by_facets(self, m) -> int:
+        """Points that violate some constraint of `facet_description(m)`."""
+        out = 0
+        for c in facet_description(m):
+            bits = self._rejects.get(c)
+            if bits is None:
+                bits = sum(1 << p for p, x in enumerate(self.points) if not c.holds(x, self.t))
+                self._rejects[c] = bits
+            out |= bits
+        return out
+
+    def rejected_by_rank(self, m) -> int:
+        """Points with sum_{i in A} x_i > t * rank(A) for some mask A."""
+        out = 0
+        for a, row in enumerate(self.over):
+            r = rank_of(m, a)
+            if not 0 <= r <= self.k:
+                raise ArithmeticError(f"rank {r} of mask {a} outside 0..{self.k}")
+            out |= row[r]
+        return out
+
+    def agree(self, m) -> bool:
+        return self.rejected_by_facets(m) == self.rejected_by_rank(m)
 
 
 def _subset_sums(x: tuple[int, ...]) -> list[int]:

@@ -2,8 +2,9 @@
 
 Each test prints a single PASS/FAIL line (visible through pytest's capture)
 so a log scan shows the per-criterion verdict.  Criterion 10 reads one
-coefficient of a degree-3588 polynomial in about 0.1 s; criterion 9, the
-oracle certification, is the slowest at about two seconds.
+coefficient of a degree-3588 polynomial in about 0.1 s; criterion 6, rank-2
+positivity, and criterion 9, the oracle certification, are the slowest at
+about one second each.
 """
 
 from __future__ import annotations

@@ -232,6 +232,35 @@ def test_hstar_real_rooted_degree_budget_is_exit_2(capsys) -> None:
     assert out.startswith("h*: 1, ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform", "--n", "100000", "--k", "2"],
+        ["minimal", "--n", "{big}", "--k", "2"],
+        ["minimal", "--n", "{big}", "--k", "2", "--shifted"],
+        ["sparse", "--n", "{big}", "--k", "2", "--lambda", "0"],
+        ["hstar", "--n", "{big}", "--k", "2", "--lambda", "0"],
+        ["search", "--n-range", "18:{big}"],
+    ],
+    ids=["uniform", "minimal", "minimal-shifted", "sparse", "hstar", "search"],
+)
+def test_polynomial_n_budget_is_exit_2(argv: list[str], capsys) -> None:
+    big = str(cli.POLY_MAX_N + 1)
+    code = cli.main([a.replace("{big}", big) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    n = argv[2] if argv[0] == "uniform" else big
+    assert captured.err == f"error: polynomial too large: n = {n} (max {cli.POLY_MAX_N})\n"
+
+
+def test_polynomial_n_budget_admits_the_cap(capsys) -> None:
+    n = str(cli.POLY_MAX_N)
+    code, out = run_cli(capsys, "uniform", "--n", n, "--k", "1")
+    assert code == 0
+    assert len(out.split(", ")) == cli.POLY_MAX_N  # a simplex of dimension n - 1
+
+
 def test_oracle_subcommand(tmp_path, capsys) -> None:
     f = tmp_path / "m.txt"
     f.write_text("5 2\n1 2\n3 4\n", encoding="ascii")

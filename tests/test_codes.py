@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrpos.codes import (
+    DEFAULT_WORD_BUDGET,
     ConstantWeightCode,
+    _residue_classes,
     gs_best_class,
     gs_classes,
     gs_lower_bound,
@@ -34,6 +36,39 @@ def test_gs_residue() -> None:
     assert gs_residue(0b1100, 4) == 1
     with pytest.raises(ValueError):
         gs_residue(0b10000, 4)
+
+
+def _ref_residue(word: int, n: int) -> int:
+    """Reference: test every bit position below the word's length."""
+    return sum(i for i in range(word.bit_length()) if word >> i & 1) % n
+
+
+def _ref_classes(n: int, k: int) -> list[list[int]]:
+    """Reference partition: every weight-k mask below 2^n, ascending, filed
+    under its bit-walk residue."""
+    classes: list[list[int]] = [[] for _ in range(n)]
+    for w in range(1 << n):
+        if w.bit_count() == k:
+            classes[_ref_residue(w, n)].append(w)
+    return classes
+
+
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_gs_residue_matches_bit_walk(case: tuple[int, int]) -> None:
+    n, word = case
+    assert gs_residue(word, n) == _ref_residue(word, n)
+    with pytest.raises(ValueError):
+        gs_residue(word | 1 << n, n)
+
+
+def test_residue_classes_match_reference_partition() -> None:
+    for n in range(1, 13):
+        for k in range(n + 1):
+            assert _residue_classes(n, k, DEFAULT_WORD_BUDGET) == _ref_classes(n, k), (n, k)
+    by_residue: list[list[int]] = [[] for _ in range(20)]
+    for w in weight_k_masks(20, 9):
+        by_residue[_ref_residue(w, 20)].append(w)
+    assert _residue_classes(20, 9, DEFAULT_WORD_BUDGET) == by_residue
 
 
 def test_gs_classes_4_2() -> None:
