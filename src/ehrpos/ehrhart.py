@@ -107,7 +107,8 @@ def ehr_minimal_shifted(k: int, n: int) -> Polynomial:
     them.
     """
     p = poly_shift(ehr_minimal(k, n), -1)
-    if not (all(c > 0 for c in p.coeffs[1:]) and p.coeff(0) >= 0):
+    # p.den > 0, so each numerator has the sign of its coefficient
+    if not (all(c > 0 for c in p.nums[1:]) and p.nums[0] >= 0):
         raise ArithmeticError(
             f"shifted minimal polynomial at (k, n) = ({k}, {n}) has a negative coefficient"
         )
@@ -313,18 +314,6 @@ class CounterexampleReport:
             "ehrhart_positive": self.is_ehrhart_positive,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> CounterexampleReport:
-        return cls(
-            n=d["n"],
-            k=d["k"],
-            lam=d["lambda"],
-            provenance=d["provenance"],
-            ehrhart=Polynomial(Fraction(s) for s in d["coefficients"]),
-            negative_coefficient_indices=tuple(d["negative_indices"]),
-            is_ehrhart_positive=bool(d["ehrhart_positive"]),
-        )
-
 
 def search_counterexamples(
     n_min: int, n_max: int, k_min: int, k_max: int
@@ -342,12 +331,12 @@ def search_counterexamples(
 
 
 def rank2_poly(n: int) -> Polynomial:
-    """ehr_uniform(2, n) - floor(n/2) * ehr_minimal_shifted(2, n): the
-    Ehrhart polynomial of the rank-2 sparse paving matroid with the most
-    circuit-hyperplanes ({1,2}, {3,4}, ... is such a family)."""
+    """ehr_sparse(n, 2, floor(n/2)): the Ehrhart polynomial of the rank-2
+    sparse paving matroid with the most circuit-hyperplanes ({1,2}, {3,4},
+    ... is such a family)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    return ehr_uniform(2, n) - (n // 2) * ehr_minimal_shifted(2, n)
+    return ehr_sparse(n, 2, n // 2)
 
 
 def verify_rank2_inequalities(n_max: int) -> bool:

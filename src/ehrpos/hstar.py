@@ -25,24 +25,22 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ratpoly import Polynomial, RatLike, binomial
+from .ratpoly import Polynomial, RatLike, binomial, horner
 
 
 def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     """h*-vector of a degree-dim Ehrhart polynomial, length dim + 1.
 
-    The values p(0), ..., p(dim) are scaled by their common denominator,
-    convolved with the signed binomials as integers, and divided once per
+    The integer numerators of p are evaluated at 0, ..., dim, convolved
+    with the signed binomials as integers, and divided by p.den once per
     entry.
     """
     if p.degree != dim:
         raise ValueError("dimension mismatch")
-    values = [p(i) for i in range(dim + 1)]
-    den = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
+    scaled = [horner(p.nums, i) for i in range(dim + 1)]
     signed = [binomial(dim + 1, j) * (-1) ** j for j in range(dim + 1)]
     return [
-        Fraction(sum(signed[j] * scaled[i - j] for j in range(i + 1)), den)
+        Fraction(sum(signed[j] * scaled[i - j] for j in range(i + 1)), p.den)
         for i in range(dim + 1)
     ]
 
@@ -98,7 +96,7 @@ def is_real_rooted(coeffs: Sequence[RatLike]) -> bool:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return True
-    nums = _primitive(list(p._int_form()[0]))
+    nums = _primitive(list(p.nums))
     chain = [nums, _primitive([m * c for m, c in enumerate(nums)][1:])]
     while True:
         r = _neg_pseudo_rem(chain[-2], chain[-1])

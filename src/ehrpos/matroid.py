@@ -155,22 +155,6 @@ def _first_adjacent_pair(masks: list[int], full: int) -> tuple[int, int]:
     raise ArithmeticError("two words share a shadow but no two are Johnson neighbours")
 
 
-def dual(m: SparsePavingMatroid) -> SparsePavingMatroid:
-    """Dual matroid: rank n - k, circuit-hyperplanes the complements of Lambda.
-
-    Complementation preserves pairwise xor, hence validity; involutive.
-    """
-    full = m.full_mask
-    return SparsePavingMatroid(m.n, m.n - m.k, tuple(full ^ h for h in m.circuit_hyperplanes))
-
-
-def relax(m: SparsePavingMatroid, h: int) -> SparsePavingMatroid:
-    """Relax the circuit-hyperplane h: declare it a basis and drop it from Lambda."""
-    if h not in m.ch_set:
-        raise ValueError("cannot relax a basis")
-    return SparsePavingMatroid(m.n, m.k, tuple(x for x in m.circuit_hyperplanes if x != h))
-
-
 def rank_of(m: SparsePavingMatroid, a: int) -> int:
     """Rank of the subset a (as a mask).
 
@@ -188,11 +172,6 @@ def rank_of(m: SparsePavingMatroid, a: int) -> int:
     if size == m.k and a in m.ch_set:
         return m.k - 1
     return m.k
-
-
-def bases_count(m: SparsePavingMatroid) -> int:
-    """Number of bases: every k-subset not in Lambda is a basis."""
-    return binomial(m.n, m.k) - m.lam
 
 
 @dataclass(frozen=True)

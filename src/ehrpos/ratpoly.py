@@ -1,17 +1,15 @@
 """Exact rational arithmetic: dense polynomials and combinatorial numbers.
 
-Every coefficient in this package is a `fractions.Fraction`; nothing here
-touches floating point.  A `Polynomial` stores its coefficients densely,
-index m holding the coefficient of t**m, with trailing zeros stripped so
-that the zero polynomial has an empty coefficient tuple and degree equal
-to the NEG_INFINITY sentinel.
+Every coefficient in this package is exact; nothing here touches
+floating point.  A `Polynomial` stores one integer form: numerators
+nums[m] of t**m over one common denominator den, in lowest terms and with
+trailing zeros stripped, so that the zero polynomial has no numerators and
+degree equal to the NEG_INFINITY sentinel.
 
-The kernels (evaluation, multiplication, the binomial polynomials, the
-Taylor shift and interpolation at 0..d) work on an integer form instead:
-integer numerators over one common denominator, the lcm of the
-coefficient denominators.  Every intermediate step is integer arithmetic,
-and a `Fraction` (with its one gcd) is built only once per output
-coefficient.
+The arithmetic (sums, products, evaluation, the binomial polynomials, the
+Taylor shift and interpolation at 0..d) works on that form: every step is
+integer arithmetic, and a `Fraction` (with its one gcd) is built only when
+a reader asks for the coefficients, once per coefficient.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
@@ -43,31 +41,37 @@ def _as_fraction(x: RatLike) -> Fraction:
 
 
 class Polynomial:
-    """Dense univariate polynomial over Fraction, immutable by convention.
+    """Dense univariate polynomial over the rationals, immutable by convention.
 
-    coeffs[m] is the coefficient of t**m.  Construction strips trailing
-    zeros, so equality of coefficient tuples is equality of polynomials.
-    Its integer form (`_int_form`) is computed once and cached.
+    The one stored form is integer: nums[m] / den is the coefficient of
+    t**m, kept canonical (den > 0, gcd(den, *nums) == 1, no trailing zero
+    numerator), so equal polynomials have equal forms and the zero
+    polynomial is ((), 1).  `coeffs` gives the same coefficients as
+    Fractions, built from that form on first read, so intermediate results
+    of the arithmetic never build one.
     """
 
-    __slots__ = ("coeffs", "_int")
+    __slots__ = ("nums", "den", "_coeffs")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._int: tuple[tuple[int, ...], int] | None = None
+        # lowest-terms Fractions over the lcm of their denominators are
+        # already canonical: no prime of the lcm divides every numerator
+        self.den = math.lcm(*(c.denominator for c in cs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
+        self._coeffs: tuple[Fraction, ...] | None = tuple(cs)
 
     @classmethod
     def _from_int_form(cls, nums: Sequence[int], den: int) -> Polynomial:
         """The polynomial sum_m nums[m] t**m / den, for den > 0.
 
-        Numerators and denominator are first divided by their common gcd,
-        so the cached form has den equal to the lcm of the coefficient
-        denominators; then each coefficient becomes a Fraction once.
+        Trailing zeros are stripped, and numerators and denominator are
+        divided by their common gcd.
         """
         nums = list(nums)
         while nums and nums[-1] == 0:
@@ -77,22 +81,22 @@ class Polynomial:
             nums = [c // g for c in nums]
             den //= g
         p = cls.__new__(cls)
-        p.coeffs = tuple(Fraction(c, den) for c in nums)
-        p._int = (tuple(nums), den)
+        p.nums = tuple(nums)
+        p.den = den
+        p._coeffs = None
         return p
 
-    def _int_form(self) -> tuple[tuple[int, ...], int]:
-        """(nums, den) with coeffs[m] == nums[m] / den, where den is the lcm
-        of the coefficient denominators (1 for the zero polynomial)."""
-        if self._int is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            self._int = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
-        return self._int
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """coeffs[m] is the coefficient of t**m, as a Fraction."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.nums)
+        return self._coeffs
 
     @property
     def degree(self) -> int | float:
         """Highest nonzero index; NEG_INFINITY for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of t**m (zero beyond the degree)."""
@@ -101,44 +105,42 @@ class Polynomial:
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __call__(self, x: RatLike) -> Fraction:
-        # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
         x = _as_fraction(x)
         a, b = x.numerator, x.denominator
-        nums, den = self._int_form()
-        if not nums:
+        if b == 1:
+            return Fraction(horner(self.nums, a), self.den)
+        # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
+        if not self.nums:
             return Fraction(0)
         acc = 0
-        if b == 1:
-            for c in reversed(nums):
-                acc = acc * a + c
-            return Fraction(acc, den)
         power = 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             acc = acc * a + c * power
             power *= b
-        return Fraction(acc, den * (power // b))
+        return Fraction(acc, self.den * (power // b))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
+        den = math.lcm(self.den, other.den)
+        out = [c * (den // self.den) for c in self.nums]
+        ys = [c * (den // other.den) for c in other.nums]
+        if len(out) < len(ys):
+            out, ys = ys, out
+        for i, c in enumerate(ys):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._from_int_form(out, den)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -146,11 +148,11 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._from_int_form([-c for c in self.nums], self.den)
 
     def __mul__(self, other: Polynomial | RatLike) -> Polynomial:
         if isinstance(other, Polynomial):
-            (xs, dx), (ys, dy) = self._int_form(), other._int_form()
+            xs, ys = self.nums, other.nums
             if not xs or not ys:
                 return Polynomial()
             out = [0] * (len(xs) + len(ys) - 1)
@@ -158,17 +160,25 @@ class Polynomial:
                 if a:
                     for j, b in enumerate(ys, i):
                         out[j] += a * b
-            return Polynomial._from_int_form(out, dx * dy)
+            return Polynomial._from_int_form(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            nums, den = self._int_form()
-            return Polynomial._from_int_form([x * c.numerator for x in nums], den * c.denominator)
+            nums = [x * c.numerator for x in self.nums]
+            return Polynomial._from_int_form(nums, self.den * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(str(c) for c in self.coeffs) + "])"
+
+
+def horner(nums: Sequence[int], x: int) -> int:
+    """sum_m nums[m] x**m for integer coefficients and an integer x."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * x + c
+    return acc
 
 
 def binomial(n: int, k: int) -> int:
@@ -234,14 +244,13 @@ def poly_shift(p: Polynomial, c: RatLike) -> Polynomial:
     if not p or c == 0:
         return p
     a, b = c.numerator, c.denominator
-    nums, den = p._int_form()
-    d = len(nums) - 1
-    work = [x * b ** (d - m) for m, x in enumerate(nums)]
+    d = len(p.nums) - 1
+    work = [x * b ** (d - m) for m, x in enumerate(p.nums)]
     # Taylor shift by a: after pass i, work[i] is final
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             work[j] += a * work[j + 1]
-    return Polynomial._from_int_form([x * b**m for m, x in enumerate(work)], den * b**d)
+    return Polynomial._from_int_form([x * b**m for m, x in enumerate(work)], p.den * b**d)
 
 
 def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:

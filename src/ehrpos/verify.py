@@ -2,9 +2,9 @@
 
 Every check recomputes a result from scratch through the public API and
 compares it against frozen golden values (exact fractions and integer
-counts).  `run_all` executes the checks in order and returns one result
-per check; the command line front end prints them as a pass/fail table
-and the acceptance tests re-expose them to pytest.
+counts).  `iter_results` runs the checks in order and yields one result
+per check, which the command line front end prints as a pass/fail table;
+the acceptance tests run each entry of `CHECKS` through `run_check`.
 
 The rank-3 threshold check reads a single coefficient of a degree-3588
 polynomial from Katzman's formula (about 0.1 s); it only runs when heavy
@@ -26,7 +26,6 @@ from .ehrhart import (
     ehr_sparse,
     ehr_uniform,
     ehr_uniform_coeff,
-    ehr_minimal_shifted,
     quad_coeff_minimal_shifted,
     rank2_poly,
     verify_rank2_inequalities,
@@ -59,18 +58,13 @@ class CheckResult:
     status: str  # "pass" | "fail" | "skip"
     detail: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
 
 def _capped_poly(k: int, n: int) -> Polynomial:
-    """ehr_uniform minus the packing-bound multiple of the shifted minimal
-    polynomial; equals ehr_sparse at the largest conceivable lambda."""
-    lam = circuit_hyperplane_bound(n, k)
-    if lam == 0:
-        return ehr_uniform(k, n)
-    return ehr_uniform(k, n) - lam * ehr_minimal_shifted(k, n)
+    """The master formula at the packing bound, the largest conceivable
+    lambda; at k = n the polytope is a point."""
+    if k == n:
+        return ehr_uniform(n, n)
+    return ehr_sparse(n, k, circuit_hyperplane_bound(n, k))
 
 
 def _emitted_polynomials() -> Iterator[tuple[str, Polynomial]]:
@@ -313,7 +307,3 @@ def iter_results(*, heavy: bool = False) -> Iterator[CheckResult]:
             yield CheckResult(criterion, name, "skip", "pass --heavy to run")
             continue
         yield run_check(criterion, name, fn)
-
-
-def run_all(*, heavy: bool = False) -> list[CheckResult]:
-    return list(iter_results(heavy=heavy))

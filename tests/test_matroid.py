@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from ehrpos.matroid import (
     LinearConstraint,
     SparsePavingMatroid,
-    bases_count,
     circuit_hyperplane_bound,
-    dual,
     elements_of,
     facet_description,
     mask_from_elements,
     matroid_from_text,
     matroid_to_text,
     rank_of,
-    relax,
     validate,
 )
 from ehrpos.oracle import enumerate_small_matroids
@@ -136,36 +133,6 @@ def test_validate_pairwise_opt_out() -> None:
     bad = [mask(1, 2, 3), mask(1, 2, 4)]
     m = validate(6, 3, bad, check_pairwise=False)
     assert m.lam == 2
-
-
-def test_dual_involution() -> None:
-    for n in range(2, 7):
-        for k in range(1, n):
-            for m in enumerate_small_matroids(n, k, 2):
-                d = dual(m)
-                assert d.n == m.n and d.k == m.n - m.k
-                assert d.lam == m.lam
-                assert dual(d) == m
-                assert bases_count(d) == bases_count(m)
-
-
-def test_relax_telescopes_to_uniform() -> None:
-    m = validate(6, 3, [mask(1, 2, 3), mask(1, 4, 5), mask(2, 4, 6)])
-    seen = [m.lam]
-    while m.lam:
-        m = relax(m, m.circuit_hyperplanes[0])
-        seen.append(m.lam)
-    assert seen == [3, 2, 1, 0]
-    assert m.circuit_hyperplanes == ()
-    with pytest.raises(ValueError, match="cannot relax a basis"):
-        relax(m, mask(1, 2, 3))
-
-
-def test_relax_increases_bases_by_one() -> None:
-    m = validate(6, 3, [mask(1, 2, 3), mask(4, 5, 6)])
-    r = relax(m, mask(4, 5, 6))
-    assert bases_count(r) == bases_count(m) + 1
-    assert r.ch_set == {mask(1, 2, 3)}
 
 
 def test_rank_of_against_basis_intersections() -> None:

@@ -185,9 +185,20 @@ def _ref_interpolate_at_naturals(values: list[Fraction]) -> list[Fraction]:
 
 
 def _assert_int_form(p: Polynomial) -> None:
-    nums, den = p._int_form()
-    assert den == math.lcm(*(c.denominator for c in p.coeffs))
-    assert tuple(Fraction(x, den) for x in nums) == p.coeffs
+    # the canonical stored form: den > 0, lowest terms, no trailing zero
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(x, p.den) for x in p.nums)
+
+
+def test_int_form_is_canonical() -> None:
+    half = Polynomial([Fraction(2, 4), 0])
+    _assert_int_form(half)
+    assert (half.nums, half.den) == ((1,), 2)
+    for zero in (Polynomial([]), Polynomial([0, 0])):
+        _assert_int_form(zero)
+        assert (zero.nums, zero.den) == ((), 1)
 
 
 points = st.one_of(
@@ -209,15 +220,35 @@ def test_mul_matches_fraction_convolution(p: Polynomial, q: Polynomial, c: Fract
     r = p * q
     assert r == Polynomial(_ref_mul(list(p.coeffs), list(q.coeffs)))
     _assert_int_form(r)
-    assert c * p == Polynomial([c * x for x in p.coeffs])
+    _assert_int_form(p)
+
+
+@given(small_polys, small_polys, fractions)
+def test_add_sub_neg_scale_match_fraction_arithmetic(p: Polynomial, q: Polynomial, c: Fraction) -> None:
+    a, b = list(p.coeffs), list(q.coeffs)
+    width = max(len(a), len(b))
+    a += [Fraction(0)] * (width - len(a))
+    b += [Fraction(0)] * (width - len(b))
+    results = [
+        (p + q, [x + y for x, y in zip(a, b)]),
+        (p - q, [x - y for x, y in zip(a, b)]),
+        (p - p, []),
+        (-p, [-x for x in a]),
+        (c * p, [c * x for x in a]),
+        (p * c, [x * c for x in a]),
+    ]
+    for r, ref in results:
+        _assert_int_form(r)
+        while ref and ref[-1] == 0:
+            ref.pop()
+        assert r.coeffs == tuple(ref)
 
 
 @given(small_polys, points)
 def test_poly_shift_matches_binomial_expansion(p: Polynomial, c: Fraction) -> None:
     q = poly_shift(p, c)
     assert q == Polynomial(_ref_shift(p.coeffs, c))
-    if q:
-        _assert_int_form(q)
+    _assert_int_form(q)
 
 
 def test_binom_poly_matches_fraction_product() -> None:
@@ -237,4 +268,5 @@ def test_binom_poly_matches_fraction_product() -> None:
 def test_interpolate_at_naturals_matches_fraction_differences(values: list) -> None:
     p = interpolate_at_naturals(values)
     assert p == Polynomial(_ref_interpolate_at_naturals([Fraction(v) for v in values]))
+    _assert_int_form(p)
     assert [p(t) for t in range(len(values))] == values
