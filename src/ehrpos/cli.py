@@ -308,11 +308,11 @@ def _cmd_hstar(args: argparse.Namespace) -> int:
     _check_poly_n(args.n)
     p = ehr_sparse(args.n, args.k, args.lam)
     dim = int(p.degree)
-    h = hstar(p, dim)
     if args.check_real_rooted and dim > REAL_ROOTED_MAX_DEGREE:
         raise BudgetExceededError(
             f"real-rootedness check too large: degree {dim} (max {REAL_ROOTED_MAX_DEGREE})"
         )
+    h = hstar(p, dim)
     rooted = is_real_rooted(h) if args.check_real_rooted else None
     record = {
         "n": args.n,

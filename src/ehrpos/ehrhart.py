@@ -3,8 +3,10 @@
 The basis polytope of the uniform matroid U_{k,n} is the hypersimplex,
 whose Ehrhart polynomial is recovered here by exact interpolation of a
 bounded-composition count.  The minimal matroid T_{k,n} (the connected
-rank-k matroid on n elements with the fewest bases) has a closed product
-formula.  Relaxing one circuit-hyperplane adds one copy of the shifted
+rank-k matroid on n elements with the fewest bases) has Ferroni's closed
+product formula, which is built here at t and directly at t - 1 as one
+integer Horner nest of linear factors over (n-1)!, with no Taylor shift.
+Relaxing one circuit-hyperplane adds one copy of the shifted
 minimal-matroid polynomial, and the relaxations telescope down to the
 uniform matroid, giving the master formula for a sparse paving matroid
 with lambda circuit-hyperplanes:
@@ -29,12 +31,11 @@ from .codes import gs_lower_bound
 from .matroid import circuit_hyperplane_bound
 from .ratpoly import (
     Polynomial,
-    binom_poly,
     binomial,
     harmonic,
     harmonic2,
     interpolate_at_naturals,
-    poly_shift,
+    times_linear,
 )
 
 PROVENANCES = ("gs-bound", "external-table", "user")
@@ -79,34 +80,55 @@ def ehr_uniform(k: int, n: int) -> Polynomial:
     return interpolate_at_naturals([count_points_uniform(k, n, t) for t in range(n)])
 
 
+def _minimal_at(k: int, n: int, s: int) -> Polynomial:
+    """ehr(T_{k,n}, t + s), built in one integer pass.
+
+    C(t+s+j, j) j! is the rising product (t+s+1)...(t+s+j), so over the
+    common denominator (k-1)! the series sum_{j<k} C(n-k-1+j, j) C(t+s+j, j)
+    is the Horner nest b_0 + (t+s+1)(b_1 + (t+s+2)(b_2 + ...)) with integer
+    weights b_j = C(n-k-1+j, j) (k-1)!/j!.  The prefactor C(t+s+n-k, n-k)
+    multiplies in the n - k factors t + s + i over (n-k)!, and
+    C(n-1, k-1) (n-k)! (k-1)! = (n-1)! is the one denominator.
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n - 1, got (k, n) = ({k}, {n})")
+    acc = [binomial(n - 2, k - 1)]  # b_{k-1}
+    ratio = 1
+    for j in range(k - 1, 0, -1):
+        ratio *= j  # (k-1)!/(j-1)!
+        acc = times_linear(acc, s + j)
+        acc[0] += binomial(n - k - 2 + j, j - 1) * ratio
+    for i in range(1, n - k + 1):
+        acc = times_linear(acc, s + i)
+    return Polynomial._from_int_form(acc, math.factorial(n - 1))
+
+
 @lru_cache(maxsize=None)
 def ehr_minimal(k: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the minimal matroid T_{k,n}:
 
         (1 / C(n-1, k-1)) C(t+n-k, n-k) sum_{j=0}^{k-1} C(n-k-1+j, j) C(t+j, j).
 
-    Degree n - 1, constant term 1.
+    Degree n - 1, constant term 1.  Built as one integer Horner nest of
+    linear factors and normalised once; ehr_minimal_shifted builds the same
+    formula at t - 1 on its own, so neither calls the other.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n - 1, got (k, n) = ({k}, {n})")
-    series = Polynomial()
-    for j in range(k):
-        series = series + binomial(n - k - 1 + j, j) * binom_poly(j, j)
-    return binom_poly(n - k, n - k) * series * Fraction(1, binomial(n - 1, k - 1))
+    return _minimal_at(k, n, 0)
 
 
 @lru_cache(maxsize=None)
 def ehr_minimal_shifted(k: int, n: int) -> Polynomial:
     """ehr_minimal(k, n) with t replaced by t - 1: the relaxation increment.
 
-    All coefficients of degree >= 1 are strictly positive.  The constant
-    term is zero: it equals ehr(T_{k,n}, -1), which by reciprocity counts
-    interior lattice points of the undilated polytope, and there are none.
-    Both facts are checked, and an ArithmeticError raised if either fails,
-    because the monotonicity and positivity arguments downstream lean on
-    them.
+    Built directly at t - 1, from the same formula with every factor
+    t + j lowered to t + j - 1, so no Taylor shift runs.  All coefficients
+    of degree >= 1 are strictly positive.  The constant term is zero: it
+    equals ehr(T_{k,n}, -1), which by reciprocity counts interior lattice
+    points of the undilated polytope, and there are none.  Both facts are
+    checked, and an ArithmeticError raised if either fails, because the
+    monotonicity and positivity arguments downstream lean on them.
     """
-    p = poly_shift(ehr_minimal(k, n), -1)
+    p = _minimal_at(k, n, -1)
     # p.den > 0, so each numerator has the sign of its coefficient
     if not (all(c > 0 for c in p.nums[1:]) and p.nums[0] >= 0):
         raise ArithmeticError(

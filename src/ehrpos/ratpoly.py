@@ -181,6 +181,12 @@ def horner(nums: Sequence[int], x: int) -> int:
     return acc
 
 
+def times_linear(nums: Sequence[int], c: int) -> list[int]:
+    """Integer coefficients of (t + c) * sum_m nums[m] t**m."""
+    # new[m] = c * old[m] + old[m - 1]
+    return [c * x + y for x, y in zip([*nums, 0], [0, *nums])]
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) as a total function: 0 whenever k < 0, k > n, or n < 0."""
     if k < 0 or n < 0 or k > n:
@@ -227,9 +233,7 @@ def binom_poly(a: int, b: int) -> Polynomial:
         raise ValueError("binom_poly needs b >= 0")
     nums = [1]
     for i in range(b):
-        c = a - i
-        # times (t + c): new[m] = c * old[m] + old[m - 1]
-        nums = [c * x + y for x, y in zip(nums + [0], [0] + nums)]
+        nums = times_linear(nums, a - i)
     return Polynomial._from_int_form(nums, math.factorial(b))
 
 
@@ -276,6 +280,6 @@ def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:
     scale = 1
     for j in range(d - 1, -1, -1):
         scale *= j + 1
-        acc = [y - j * x for x, y in zip(acc + [0], [0] + acc)]
+        acc = times_linear(acc, -j)
         acc[0] += diffs[j] * scale
     return Polynomial._from_int_form(acc, math.factorial(d) * den)

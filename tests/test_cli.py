@@ -44,6 +44,15 @@ def test_minimal_shifted(capsys) -> None:
     assert code == 0 and shifted == "0/1, 1/2, 1/2\n"
 
 
+@pytest.mark.parametrize("shifted", [[], ["--shifted"]], ids=["plain", "shifted"])
+def test_minimal_rank_out_of_range_is_exit_1(shifted: list[str], capsys) -> None:
+    code = cli.main(["minimal", "--n", "5", "--k", "5", *shifted])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: need 1 <= k <= n - 1, got (k, n) = (5, 5)\n"
+
+
 def test_sparse_golden_report(capsys) -> None:
     code, out = run_cli(
         capsys, "sparse", "--n", "20", "--k", "9", "--lambda", "8398",
@@ -230,6 +239,20 @@ def test_hstar_real_rooted_degree_budget_is_exit_2(capsys) -> None:
     code, out = run_cli(capsys, "hstar", "--n", str(n), "--k", "2", "--lambda", "0")
     assert code == 0
     assert out.startswith("h*: 1, ")
+
+
+def test_hstar_degree_budget_is_checked_before_the_hstar_vector(monkeypatch, capsys) -> None:
+    def refuse(*args):
+        raise AssertionError("hstar must not run past the degree budget")
+
+    monkeypatch.setattr(cli, "hstar", refuse)
+    code = cli.main(["hstar", "--n", "150", "--k", "2", "--lambda", "75", "--check-real-rooted"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: real-rootedness check too large: degree 149 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from ehrpos.ehrhart import (
     verify_rank2_inequalities,
 )
 from ehrpos.matroid import circuit_hyperplane_bound
-from ehrpos.ratpoly import Polynomial, binomial, poly_shift
+from ehrpos.ratpoly import Polynomial, binom_poly, binomial, poly_shift
 
 # transition points of the harmonic inequality, found by stepping n upward
 # and confirming it stays true just above each
@@ -102,17 +102,39 @@ def test_ehr_minimal_values() -> None:
     assert p.coeffs == (1, Fraction(3, 2), Fraction(1, 2))
 
 
-def test_ehr_minimal_shifted_is_shift() -> None:
-    for n in range(3, 10):
+def minimal_series_reference(k: int, n: int) -> Polynomial:
+    """Ferroni's formula summed term by term as Polynomials: the
+    binom_poly(j, j) terms, times binom_poly(n-k, n-k), over C(n-1, k-1)."""
+    series = Polynomial()
+    for j in range(k):
+        series = series + binomial(n - k - 1 + j, j) * binom_poly(j, j)
+    return binom_poly(n - k, n - k) * series * Fraction(1, binomial(n - 1, k - 1))
+
+
+def test_ehr_minimal_matches_series_reference() -> None:
+    for n in range(2, 25):
         for k in range(1, n):
-            shifted = ehr_minimal_shifted(k, n)
-            assert shifted == poly_shift(ehr_minimal(k, n), Fraction(-1))
-            assert shifted.coeff(0) == 0 or (k, n) == (1, 2)
-            assert all(c > 0 for c in shifted.coeffs[1:])
+            assert ehr_minimal(k, n) == minimal_series_reference(k, n)
+    assert ehr_minimal(2, 150) == minimal_series_reference(2, 150)
+
+
+def test_ehr_minimal_shifted_is_shift() -> None:
+    for n, k in [(n, k) for n in range(2, 25) for k in range(1, n)] + [(150, 2)]:
+        shifted = ehr_minimal_shifted(k, n)
+        assert shifted == poly_shift(minimal_series_reference(k, n), Fraction(-1))
+        assert shifted.coeff(0) == 0 or (k, n) == (1, 2)
+        assert all(c > 0 for c in shifted.coeffs[1:])
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("build", [ehr_minimal, ehr_minimal_shifted])
+def test_ehr_minimal_rank_out_of_range(build, k: int) -> None:
+    with pytest.raises(ValueError, match=rf"^need 1 <= k <= n - 1, got \(k, n\) = \({k}, 5\)$"):
+        build(k, 5)
 
 
 def test_ehr_minimal_shifted_raises_on_a_negative_coefficient(monkeypatch) -> None:
-    monkeypatch.setattr(ehrhart, "poly_shift", lambda p, c: Polynomial([0, -1, 1]))
+    monkeypatch.setattr(ehrhart, "_minimal_at", lambda k, n, s: Polynomial([0, -1, 1]))
     ehr_minimal_shifted.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="negative coefficient"):
