@@ -49,7 +49,6 @@ from .matroid import (
 from .oracle import (
     enumerate_small_matroids,
     oracle_count,
-    oracle_ehrhart,
     oracle_interior_count,
 )
 from .ratpoly import (
@@ -101,7 +100,6 @@ __all__ = [
     "matroid_from_text",
     "matroid_to_text",
     "oracle_count",
-    "oracle_ehrhart",
     "oracle_interior_count",
     "poly_shift",
     "quad_coeff_minimal_shifted",

@@ -18,7 +18,6 @@ import csv
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .codes import DEFAULT_WORD_BUDGET, gs_lower_bound, gs_partition
 from .ehrhart import (
@@ -28,6 +27,7 @@ from .ehrhart import (
     ehr_minimal_shifted,
     ehr_sparse,
     ehr_uniform,
+    fraction_strings,
     intermediate_bound_quad,
     lower_bound_quad,
     search_counterexamples,
@@ -37,6 +37,7 @@ from .errors import BudgetExceededError
 from .hstar import hstar, is_real_rooted
 from .matroid import circuit_hyperplane_bound, matroid_from_text, matroid_to_text
 from .oracle import oracle_count
+from .ratpoly import binomial
 from .verify import iter_results
 
 # `hstar --check-real-rooted` refuses h*-polynomials of higher degree.  The
@@ -128,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _cell(value: object) -> str:
     """A csv or text cell: lists joined by ";", booleans as true/false, None empty."""
     if isinstance(value, list):
@@ -190,7 +187,7 @@ def _cmd_polynomial(args: argparse.Namespace) -> int:
     else:
         record["shifted"] = args.shifted
         p = ehr_minimal_shifted(args.k, args.n) if args.shifted else ehr_minimal(args.k, args.n)
-    record["coefficients"] = [_frac_str(c) for c in p.coeffs]
+    record["coefficients"] = fraction_strings(p.coeffs)
     _emit(args.format, record, [", ".join(record["coefficients"])])
     return 0
 
@@ -225,7 +222,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     out = args.output
     with contextlib.nullcontext() if out is None else open(out, "w", encoding="ascii") as fh:
         sizes, code = gs_partition(n, k, max_words=args.max_words)
-        matroid_text = matroid_to_text(code.to_matroid(check_pairwise=False))
+        matroid_text = matroid_to_text(code.to_matroid())
         record = {
             "n": n,
             "k": k,
@@ -304,21 +301,40 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 3 if mismatches else 0
 
 
-def _cmd_hstar(args: argparse.Namespace) -> int:
-    _check_poly_n(args.n)
-    p = ehr_sparse(args.n, args.k, args.lam)
-    dim = int(p.degree)
-    if args.check_real_rooted and dim > REAL_ROOTED_MAX_DEGREE:
+def _has_full_degree(n: int, k: int, lam: int) -> bool:
+    """True when ehr_sparse(n, k, lam) exists and has degree n - 1, decided
+    without the build: (n-1)! [t^{n-1}] is the Eulerian number A(n-1, k-1)
+    = sum_{i<k} (-1)^i C(n, i) (k-i)^{n-1} of ehr_uniform less lam C(n-2, k-1)
+    of ehr_minimal_shifted."""
+    if not (0 < k < n and 0 <= lam <= circuit_hyperplane_bound(n, k)):
+        return False  # left to the error ehr_sparse raises
+    eulerian = sum((-1) ** i * binomial(n, i) * (k - i) ** (n - 1) for i in range(k))
+    return eulerian != lam * binomial(n - 2, k - 1)
+
+
+def _check_real_rooted_degree(dim: int) -> None:
+    if dim > REAL_ROOTED_MAX_DEGREE:
         raise BudgetExceededError(
             f"real-rootedness check too large: degree {dim} (max {REAL_ROOTED_MAX_DEGREE})"
         )
+
+
+def _cmd_hstar(args: argparse.Namespace) -> int:
+    _check_poly_n(args.n)
+    if args.check_real_rooted and _has_full_degree(args.n, args.k, args.lam):
+        # refuse before the build, which dominates a refusal at large n
+        _check_real_rooted_degree(args.n - 1)
+    p = ehr_sparse(args.n, args.k, args.lam)
+    dim = int(p.degree)
+    if args.check_real_rooted:
+        _check_real_rooted_degree(dim)
     h = hstar(p, dim)
     rooted = is_real_rooted(h) if args.check_real_rooted else None
     record = {
         "n": args.n,
         "k": args.k,
         "lambda": args.lam,
-        "hstar": [_frac_str(v) for v in h],
+        "hstar": fraction_strings(h),
         "real_rooted": rooted,
     }
     lines = ["h*: " + ", ".join(str(v) for v in h)]

@@ -4,8 +4,9 @@ Weight-k words of length n (equivalently k-subsets of {1..n}) are split
 into n classes by the residue T(a) = sum of (i - 1) over the set bits i,
 taken mod n.  Any two words of equal weight at Hamming distance 2 differ
 by moving a single set bit, which changes T; hence each class is a code
-of minimum distance >= 4 and so a valid circuit-hyperplane family.  By
-pigeonhole the largest class has at least binomial(n, k) / n words.
+of minimum distance >= 4 and so a valid circuit-hyperplane family, which
+`to_matroid` checks again like any other.  By pigeonhole the largest class
+has at least binomial(n, k) / n words.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class ConstantWeightCode:
     words: tuple[int, ...]
     class_index: int | None = None
 
-    def to_matroid(self, *, check_pairwise: bool = True) -> SparsePavingMatroid:
+    def to_matroid(self) -> SparsePavingMatroid:
         """The sparse paving matroid whose circuit-hyperplanes are the words."""
-        return validate(self.n, self.k, self.words, check_pairwise=check_pairwise)
+        return validate(self.n, self.k, self.words)
 
 
 def weight_k_masks(n: int, k: int) -> Iterator[int]:
@@ -96,13 +97,13 @@ def _residue_classes(n: int, k: int, max_words: int) -> list[list[int]]:
     return classes
 
 
-def gs_classes(n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET) -> list[int]:
+def gs_classes(n: int, k: int) -> list[int]:
     """Sizes of the n residue classes, index = residue.
 
     The sizes sum to binomial(n, k) and the largest is at least
     ceil(binomial(n, k) / n).
     """
-    return [len(c) for c in _residue_classes(n, k, max_words)]
+    return [len(c) for c in _residue_classes(n, k, DEFAULT_WORD_BUDGET)]
 
 
 def gs_partition(
@@ -116,9 +117,9 @@ def gs_partition(
     return [len(c) for c in classes], code
 
 
-def gs_best_class(n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET) -> ConstantWeightCode:
+def gs_best_class(n: int, k: int) -> ConstantWeightCode:
     """A residue class of maximum size; ties broken by smallest residue."""
-    return gs_partition(n, k, max_words=max_words)[1]
+    return gs_partition(n, k)[1]
 
 
 def gs_lower_bound(n: int, k: int) -> int:

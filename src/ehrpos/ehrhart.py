@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .codes import gs_lower_bound
 from .matroid import circuit_hyperplane_bound
@@ -103,7 +104,6 @@ def _minimal_at(k: int, n: int, s: int) -> Polynomial:
     return Polynomial._from_int_form(acc, math.factorial(n - 1))
 
 
-@lru_cache(maxsize=None)
 def ehr_minimal(k: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the minimal matroid T_{k,n}:
 
@@ -240,11 +240,7 @@ def counterexample_inequality(k: int, n: int) -> bool:
     matroid with the largest residue-class lambda at (n, k) has negative
     quadratic Ehrhart coefficient.
     """
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
-    lhs = binomial(k + 1, 2) * harmonic(n - 1) ** 2
-    rhs = Fraction(binomial(n, k), n * k * (n - 1))
-    return lhs < rhs
+    return upper_bound_quad_uniform(k, n) < Fraction(binomial(n, k), n) * lower_bound_quad(k, n)
 
 
 def _floor_nth_root(x: int, s: int) -> int:
@@ -266,10 +262,10 @@ def _floor_nth_root(x: int, s: int) -> int:
     return r
 
 
-def _log_bounds(n: int, s: int, prec_bits: int = 32) -> tuple[Fraction, Fraction]:
+def _log_bounds(n: int, s: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= log(n) <= hi via the s-th root: with u = n**(1/s)
-    sandwiched to prec_bits bits, (u-1)/u <= log(u) <= u - 1 scales by s."""
-    d = 1 << prec_bits
+    sandwiched to 32 bits, (u-1)/u <= log(u) <= u - 1 scales by s."""
+    d = 1 << 32
     a = _floor_nth_root(n * d**s, s)
     q_lo = Fraction(a, d)
     q_hi = Fraction(a + 1, d)
@@ -301,6 +297,11 @@ def counterexample_inequality_strong9(n: int) -> bool:
     raise RuntimeError("log precision cap reached without a decision")
 
 
+def fraction_strings(values: Iterable[Fraction]) -> list[str]:
+    """Fractions as exact "p/q" strings, q kept even when it is 1."""
+    return [f"{c.numerator}/{c.denominator}" for c in values]
+
+
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Outcome of one Ehrhart-positivity check, ready for serialization."""
@@ -322,8 +323,8 @@ class CounterexampleReport:
         return cls(n, k, lam, provenance, p, neg, not neg)
 
     def coefficient_strings(self) -> list[str]:
-        """Coefficients as exact "p/q" strings, index = degree, q kept even when 1."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.ehrhart.coeffs]
+        """Coefficients as exact "p/q" strings, index = degree."""
+        return fraction_strings(self.ehrhart.coeffs)
 
     def to_dict(self) -> dict:
         return {

@@ -91,15 +91,13 @@ class SparsePavingMatroid:
         return (1 << self.n) - 1
 
 
-def validate(
-    n: int, k: int, chs: Iterable[int], *, check_pairwise: bool = True
-) -> SparsePavingMatroid:
+def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
     """Build a SparsePavingMatroid after checking the sparse paving axioms.
 
     Checks, in order: ground-set size, popcounts, the packing bound on
-    |Lambda|, and (unless check_pairwise is False, for trusted bulk input)
-    the pairwise Hamming distance >= 4 condition, as distinctness of the
-    lambda * k shadows (each word with one element removed).
+    |Lambda|, and the pairwise Hamming distance >= 4 condition, as
+    distinctness of the lambda * k shadows (each word with one element
+    removed).
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size n={n} outside 1..{MAX_GROUND_SET}")
@@ -117,7 +115,7 @@ def validate(
             f"{len(masks)} circuit-hyperplanes exceeds circuit-hyperplane bound "
             f"{circuit_hyperplane_bound(n, k)} for (n, k) = ({n}, {k})"
         )
-    if check_pairwise and not _shadows_distinct(masks):
+    if not _shadows_distinct(masks):
         hi, hj = _first_adjacent_pair(masks, full)
         raise ValueError(
             f"{set(elements_of(hi))} and {set(elements_of(hj))} are "
@@ -246,7 +244,7 @@ def matroid_to_text(m: SparsePavingMatroid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matroid_from_text(text: str, *, check_pairwise: bool = True) -> SparsePavingMatroid:
+def matroid_from_text(text: str) -> SparsePavingMatroid:
     """Parse the matroid text format; errors carry 1-based line numbers."""
     header: tuple[int, int] | None = None
     masks: list[int] = []
@@ -275,6 +273,6 @@ def matroid_from_text(text: str, *, check_pairwise: bool = True) -> SparsePaving
     if header is None:
         raise ValueError("line 1: missing header 'n k'")
     try:
-        return validate(header[0], header[1], masks, check_pairwise=check_pairwise)
+        return validate(header[0], header[1], masks)
     except ValueError as exc:
         raise ValueError(f"invalid matroid: {exc}") from None

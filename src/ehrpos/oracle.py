@@ -3,8 +3,9 @@
 Counts integer points of dilated basis polytopes exactly, from the facet
 description alone, by a dynamic program over the coordinates that merges
 prefixes with the same remaining sum and the same circuit-hyperplane
-slacks.  It uses no formula of `ehrpos.ehrhart`; the test suite plays the
-two against each other.  Budgets keep instances small: this module is a
+slacks.  It uses no formula of `ehrpos.ehrhart` and builds no polynomial:
+the test suite and `verify` compare its counts with the formula's values,
+one dilation at a time.  Budgets keep instances small: this module is a
 certifier, not a production counter.
 """
 
@@ -15,11 +16,9 @@ from typing import Iterator
 from .codes import weight_k_masks
 from .errors import BudgetExceededError
 from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
-from .ratpoly import Polynomial, interpolate_at_naturals
 
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
-ORACLE_POLY_MAX_N = 8
 
 
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
@@ -63,13 +62,13 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     return sum(layer.values())  # the last x takes all that remains
 
 
-def _check_instance(m: SparsePavingMatroid, t: int, t_cap: int) -> None:
+def _check_instance(m: SparsePavingMatroid, t: int) -> None:
     if not 0 < m.k < m.n:
         raise ValueError("degenerate polytope (a point)")
-    if m.n > ORACLE_MAX_N or t > t_cap:
+    if m.n > ORACLE_MAX_N or t > ORACLE_MAX_T:
         raise BudgetExceededError(
             f"oracle instance too large: n = {m.n} (max {ORACLE_MAX_N}), "
-            f"t = {t} (max {t_cap})"
+            f"t = {t} (max {ORACLE_MAX_T})"
         )
     if t < 0:
         raise ValueError("dilation must be nonnegative")
@@ -78,31 +77,15 @@ def _check_instance(m: SparsePavingMatroid, t: int, t_cap: int) -> None:
 def oracle_count(m: SparsePavingMatroid, t: int) -> int:
     """#(t P(M) cap Z^n): integer x with 0 <= x_i <= t, sum x_i = k t, and
     sum over each circuit-hyperplane <= (k-1) t."""
-    _check_instance(m, t, ORACLE_MAX_T)
+    _check_instance(m, t)
     return _count_points(m, t, interior=False)
 
 
 def oracle_interior_count(m: SparsePavingMatroid, t: int) -> int:
     """Relative-interior count: all facet inequalities strict, the
     hyperplane sum x_i = k t kept as an equality."""
-    _check_instance(m, t, ORACLE_MAX_T)
+    _check_instance(m, t)
     return _count_points(m, t, interior=True)
-
-
-def oracle_ehrhart(m: SparsePavingMatroid) -> Polynomial:
-    """Ehrhart polynomial by interpolating oracle counts at t = 0..n-1.
-
-    Budgeted at n <= 8, which needs dilations up to t = 7; the counting
-    core is shared with oracle_count but this entry point carries its own
-    (slightly larger) dilation allowance.
-    """
-    if not 0 < m.k < m.n:
-        raise ValueError("degenerate polytope (a point)")
-    if m.n > ORACLE_POLY_MAX_N:
-        raise BudgetExceededError(
-            f"oracle instance too large: n = {m.n} (max {ORACLE_POLY_MAX_N})"
-        )
-    return interpolate_at_naturals([_count_points(m, t, interior=False) for t in range(m.n)])
 
 
 def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[SparsePavingMatroid]:

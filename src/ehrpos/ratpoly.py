@@ -110,8 +110,6 @@ class Polynomial:
     def __call__(self, x: RatLike) -> Fraction:
         x = _as_fraction(x)
         a, b = x.numerator, x.denominator
-        if b == 1:
-            return Fraction(horner(self.nums, a), self.den)
         # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
         if not self.nums:
             return Fraction(0)

