@@ -17,7 +17,9 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
+from typing import Iterator, TextIO
 
 from .codes import DEFAULT_WORD_BUDGET, gs_lower_bound, gs_partition
 from .ehrhart import (
@@ -216,28 +218,44 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: str) -> Iterator[TextIO]:
+    """Write to a sibling temporary file and rename it onto `path` once
+    written, so that a failed run leaves `path` as it was.  The file is
+    opened on entry, so an unwritable directory fails before any work."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_code(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
-    # opened before the enumeration, so an unwritable path fails with empty stdout
+    # entered before the enumeration, so an unwritable path fails with empty stdout
     out = args.output
-    with contextlib.nullcontext() if out is None else open(out, "w", encoding="ascii") as fh:
+    with contextlib.nullcontext() if out is None else _replaced_on_success(out) as fh:
         sizes, code = gs_partition(n, k, max_words=args.max_words)
         matroid_text = matroid_to_text(code.to_matroid())
-        record = {
-            "n": n,
-            "k": k,
-            "class_sizes": sizes,
-            "chosen_index": code.class_index,
-            "lower_bound": gs_lower_bound(n, k),
-            "upper_bound": circuit_hyperplane_bound(n, k),
-        }
-        if args.format != "json":  # csv and text list the class sizes last
-            record["class_sizes"] = record.pop("class_sizes")
-        _emit(args.format, record, _text_lines(record))
         if fh is not None:
             fh.write(matroid_text)
-        elif args.format == "text":
-            print(matroid_text, end="")
+    record = {
+        "n": n,
+        "k": k,
+        "class_sizes": sizes,
+        "chosen_index": code.class_index,
+        "lower_bound": gs_lower_bound(n, k),
+        "upper_bound": circuit_hyperplane_bound(n, k),
+    }
+    if args.format != "json":  # csv and text list the class sizes last
+        record["class_sizes"] = record.pop("class_sizes")
+    _emit(args.format, record, _text_lines(record))
+    if fh is None and args.format == "text":
+        print(matroid_text, end="")
     return 0
 
 

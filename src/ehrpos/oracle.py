@@ -3,7 +3,9 @@
 Counts integer points of dilated basis polytopes exactly, from the facet
 description alone, by a dynamic program over the coordinates that merges
 prefixes with the same remaining sum and the same circuit-hyperplane
-slacks.  It uses no formula of `ehrpos.ehrhart` and builds no polynomial:
+slacks.  The last two coordinates are counted in closed form: their
+completions of a prefix form one interval.  It uses no formula of
+`ehrpos.ehrhart` and builds no polynomial:
 the test suite and `verify` compare its counts with the formula's values,
 one dilation at a time.  Budgets keep instances small: this module is a
 certifier, not a production counter.
@@ -22,7 +24,8 @@ ORACLE_MAX_T = 6
 
 
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
-    """Exact count by a dynamic program over the coordinates x_0..x_{n-1}.
+    """Exact count by a dynamic program over the coordinates x_0..x_{n-3},
+    closed by a count of the last two, x_p and x_q (p = n-2, q = n-1).
 
     A layer maps a state to the number of prefixes x_0..x_{i-1} that reach
     it.  The state is the remaining sum and, for each circuit-hyperplane
@@ -31,6 +34,13 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     so it is stored as that product; it drops to 0 once H's last
     coordinate is placed, and prefixes that no later coordinate can tell
     apart merge into one state.
+
+    A state (rem, slacks) at p has the completions (a, rem - a) with a in
+    one interval: lo <= a, rem - a <= hi; a <= s_H for each H holding p
+    but not q; rem - a <= s_H for each H holding q but not p; and none at
+    all if rem > s_H for an H holding both.  The stored slacks are exact
+    there, because each clamp only caps a bound that hi already imposes.
+    Callers guarantee n >= 2.
     """
     n, k = m.n, m.k
     lo, hi = (1, t - 1) if interior else (0, t)
@@ -39,7 +49,7 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
         return 0
     chs = m.circuit_hyperplanes
     layer = {(k * t,) + tuple(min(cap, hi * h.bit_count()) for h in chs): 1}
-    for i in range(n):
+    for i in range(n - 2):
         left = n - i - 1
         # (state position, slack ceiling after x_i) of each H containing i
         cover = [(j + 1, hi * (h >> (i + 1)).bit_count()) for j, h in enumerate(chs) if h >> i & 1]
@@ -59,7 +69,28 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
                 key = tuple(new)
                 nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
-    return sum(layer.values())  # the last x takes all that remains
+    # state positions of the H holding only p (bits q p = 01), only q (10), and both (11)
+    p_only, q_only, both = (
+        [j + 1 for j, h in enumerate(chs) if h >> (n - 2) == bits] for bits in (1, 2, 3)
+    )
+    total = 0
+    for state, ways in layer.items():
+        rem = state[0]
+        low = rem - hi if rem - hi > lo else lo  # builtin max and min cost more here
+        high = rem - lo if rem - lo < hi else hi
+        for j in p_only:
+            if state[j] < high:
+                high = state[j]
+        for j in q_only:
+            if rem - state[j] > low:
+                low = rem - state[j]
+        if low <= high:
+            for j in both:
+                if state[j] < rem:
+                    break
+            else:
+                total += ways * (high - low + 1)
+    return total
 
 
 def _check_instance(m: SparsePavingMatroid, t: int) -> None:

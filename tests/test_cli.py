@@ -131,9 +131,11 @@ def test_missing_file_is_exit_1(capsys) -> None:
 
 def test_code_emits_loadable_matroid(tmp_path, capsys) -> None:
     f = tmp_path / "code.txt"
+    f.write_text("keep me")
     code, out = run_cli(capsys, "code", "--n", "10", "--k", "3", "--output", str(f))
     assert code == 0
     assert "lower_bound = 12" in out
+    assert [p.name for p in tmp_path.iterdir()] == ["code.txt"]  # replaced, nothing left over
     code2, out2 = run_cli(capsys, "sparse", "--matroid-file", str(f), "--format", "json")
     assert code2 == 0
     assert json.loads(out2)["n"] == 10
@@ -154,6 +156,18 @@ def test_code_budget_is_exit_2(capsys) -> None:
     assert "class enumeration too large" in capsys.readouterr().err
 
 
+def test_code_budget_leaves_the_output_file_as_it_was(tmp_path, capsys) -> None:
+    f = tmp_path / "code.txt"
+    f.write_text("keep me")
+    code = cli.main(["code", "--n", "40", "--k", "20", "--max-words", "100", "--output", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "class enumeration too large" in captured.err
+    assert f.read_text() == "keep me"
+    assert [p.name for p in tmp_path.iterdir()] == ["code.txt"]
+
+
 def test_code_unwritable_output_fails_fast(tmp_path, capsys) -> None:
     # the path is opened before the words are enumerated: nothing on stdout
     path = tmp_path / "missing" / "x.txt"
@@ -169,12 +183,14 @@ def test_code_rejects_a_class_that_is_not_distance_4(tmp_path, capsys, monkeypat
     bad = codes.ConstantWeightCode(6, 3, (0b000111, 0b001011), class_index=0)
     monkeypatch.setattr(cli, "gs_partition", lambda n, k, max_words: ([2, 0, 0, 0, 0, 0], bad))
     f = tmp_path / "code.txt"
+    f.write_text("keep me")
     code = cli.main(["code", "--n", "6", "--k", "3", "--output", str(f)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.rstrip("\n").endswith("adjacent in Johnson graph J(6,3)")
-    assert f.read_text() == ""
+    assert f.read_text() == "keep me"
+    assert [p.name for p in tmp_path.iterdir()] == ["code.txt"]
 
 
 def test_bounds_output(capsys) -> None:

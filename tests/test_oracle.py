@@ -161,6 +161,43 @@ def test_counts_match_dfs_and_box(data: st.DataObject) -> None:
     assert_counts_match_references(m, t)
 
 
+def test_counts_match_dfs_on_every_small_matroid() -> None:
+    for n in range(2, 7):
+        for k in range(1, n):
+            for m in enumerate_small_matroids(n, k, 3):
+                for t in range(5):
+                    assert oracle_count(m, t) == dfs_count(m, t, interior=False), (m, t)
+                    assert oracle_interior_count(m, t) == dfs_count(m, t, interior=True), (m, t)
+
+
+# the closed-form tail counts x_p, x_q with p = n - 2, q = n - 1 (bits p and q)
+@pytest.mark.parametrize(
+    ("n", "chs", "closed", "interior"),
+    [
+        (4, [0b0101], [1, 5, 14, 30, 55], [0, 0, 0, 1, 5]),
+        (4, [0b1001], [1, 5, 14, 30, 55], [0, 0, 0, 1, 5]),
+        (4, [0b1100], [1, 5, 14, 30, 55], [0, 0, 0, 1, 5]),
+        (2, [], [1, 2, 3, 4, 5], [0, 0, 1, 2, 3]),
+        (2, [0b01], [1, 1, 1, 1, 1], [0, 0, 0, 0, 0]),
+        (2, [0b10], [1, 1, 1, 1, 1], [0, 0, 0, 0, 0]),
+    ],
+    ids=["H-holds-only-p", "H-holds-only-q", "H-holds-both", "n2-uniform", "n2-H-is-p", "n2-H-is-q"],
+)
+def test_tail_rules(n: int, chs: list[int], closed: list[int], interior: list[int]) -> None:
+    m = validate(n, n // 2, chs)
+    assert [oracle_count(m, t) for t in range(5)] == closed
+    assert [oracle_interior_count(m, t) for t in range(5)] == interior
+    for t in range(5):
+        assert_counts_match_references(m, t)
+
+
+def test_interior_is_empty_at_t_1() -> None:
+    # 0 < x_i < 1 admits no integer
+    for n in range(2, 7):
+        for k in range(1, n):
+            assert all(oracle_interior_count(m, 1) == 0 for m in enumerate_small_matroids(n, k, 3))
+
+
 @pytest.mark.parametrize("side", [False, True], ids=["closed", "interior"])
 def test_reference_check_catches_an_off_by_one(side: bool, monkeypatch) -> None:
     m = validate(5, 2, [0b00011, 0b01100])

@@ -50,6 +50,43 @@ def test_unused_import_check_catches_a_leftover() -> None:
     assert _unused_imports(tree) == ["Polynomial (line 1)"]
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The ehrpos modules a module imports from, in relative or absolute form."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "ehrpos." * (node.level > 0) + (node.module or "")
+            dotted += [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("ehrpos.")}
+
+
+# the oracle certifies the formulas, so it may not compute with them
+FORMULA_MODULES = {"ehrhart", "ratpoly", "hstar", "verify", "cli"}
+
+
+def test_oracle_imports_no_formula_module() -> None:
+    path = SRC / "oracle.py"
+    found = _package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert "matroid" in found  # the check sees the oracle's own imports
+    assert found & FORMULA_MODULES == set()
+
+
+def test_formula_import_check_catches_an_import() -> None:
+    snippet = (
+        "from .matroid import validate\n"
+        "from . import hstar\n"
+        "import ehrpos.cli\n"
+        "\n"
+        "def f():\n"
+        "    from ehrpos.ratpoly import binomial\n"
+    )
+    found = _package_imports(ast.parse(snippet))
+    assert found == {"matroid", "hstar", "cli", "ratpoly"}
+    assert found & FORMULA_MODULES == {"hstar", "cli", "ratpoly"}
+
+
 def test_every_exported_name_is_bound() -> None:
     import ehrpos
 
