@@ -189,7 +189,7 @@ def _cmd_polynomial(args: argparse.Namespace) -> int:
     else:
         record["shifted"] = args.shifted
         p = ehr_minimal_shifted(args.k, args.n) if args.shifted else ehr_minimal(args.k, args.n)
-    record["coefficients"] = fraction_strings(p.coeffs)
+    record["coefficients"] = p.coefficient_strings()
     _emit(args.format, record, [", ".join(record["coefficients"])])
     return 0
 

@@ -45,9 +45,12 @@ PROVENANCES = ("gs-bound", "external-table", "user")
 def count_points_uniform(k: int, n: int, t: int) -> int:
     """Number of integer vectors with 0 <= x_i <= t and x_1 + ... + x_n = k*t.
 
-    Inclusion-exclusion over coordinates pushed above t:
-    sum_j (-1)^j C(n, j) C(kt - j(t+1) + n - 1, n - 1); the series breaks
-    off after at most min(n, kt/(t+1)) + 1 terms.
+    x -> t - x maps these vectors onto those of sum (n-k)t, so the count
+    is taken at the smaller rank k' = min(k, n - k).  Inclusion-exclusion
+    over coordinates pushed above t gives
+    sum_j (-1)^j C(n, j) C(k't - j(t+1) + n - 1, n - 1), where a term is
+    nonzero only while j(t+1) <= k't: at most min(k, n - k) + 1 terms.
+    C(n, j) is carried from term to term.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got (k, n) = ({k}, {n})")
@@ -55,14 +58,17 @@ def count_points_uniform(k: int, n: int, t: int) -> int:
         raise ValueError("dilation must be nonnegative")
     if n == 0:
         return 1
+    k = min(k, n - k)
     total = 0
-    sign = 1
-    for j in range(n + 1):
-        arg = k * t - j * (t + 1) + n - 1
+    c = 1  # C(n, j)
+    arg = k * t + n - 1
+    for j in range(k + 1):
         if arg < n - 1:
             break
-        total += sign * binomial(n, j) * binomial(arg, n - 1)
-        sign = -sign
+        term = c * math.comb(arg, n - 1)
+        total += -term if j & 1 else term
+        c = c * (n - j) // (j + 1)
+        arg -= t + 1
     return total
 
 
@@ -298,7 +304,9 @@ def counterexample_inequality_strong9(n: int) -> bool:
 
 
 def fraction_strings(values: Iterable[Fraction]) -> list[str]:
-    """Fractions as exact "p/q" strings, q kept even when it is 1."""
+    """Fractions as exact "p/q" strings, q kept even when it is 1, for
+    lists of Fractions such as an h*-vector; a Polynomial prints its own
+    with `coefficient_strings`, from the integer form."""
     return [f"{c.numerator}/{c.denominator}" for c in values]
 
 
@@ -319,12 +327,9 @@ class CounterexampleReport:
         if provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
         p = ehr_sparse(n, k, lam)
-        neg = tuple(m for m, c in enumerate(p.coeffs) if c < 0)
+        # p.den > 0, so each numerator has the sign of its coefficient
+        neg = tuple(m for m, c in enumerate(p.nums) if c < 0)
         return cls(n, k, lam, provenance, p, neg, not neg)
-
-    def coefficient_strings(self) -> list[str]:
-        """Coefficients as exact "p/q" strings, index = degree."""
-        return fraction_strings(self.ehrhart.coeffs)
 
     def to_dict(self) -> dict:
         return {
@@ -332,7 +337,7 @@ class CounterexampleReport:
             "k": self.k,
             "lambda": self.lam,
             "provenance": self.provenance,
-            "coefficients": self.coefficient_strings(),
+            "coefficients": self.ehrhart.coefficient_strings(),
             "negative_indices": list(self.negative_coefficient_indices),
             "ehrhart_positive": self.is_ehrhart_positive,
         }

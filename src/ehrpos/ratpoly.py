@@ -8,8 +8,13 @@ degree equal to the NEG_INFINITY sentinel.
 
 The arithmetic (sums, products, evaluation, the binomial polynomials, the
 Taylor shift and interpolation at 0..d) works on that form: every step is
-integer arithmetic, and a `Fraction` (with its one gcd) is built only when
-a reader asks for the coefficients, once per coefficient.
+integer arithmetic.  A sum or difference is one pass over the numerators
+scaled to the lcm of the two denominators, and scaling by an int
+multiplies the numerators; neither builds a `Fraction`.  Interpolation
+reads the numerator and denominator of each value as they are.  The
+"p/q" strings of the reports come from the same form with one gcd per
+coefficient, and a `Fraction` is built only when a reader asks for
+`coeffs`, once per coefficient.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
@@ -128,22 +133,26 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
+    def _plus(self, other: Polynomial, sign: int) -> Polynomial:
+        # self + sign * other in one pass over the lcm of the denominators
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        xs, ys = self.nums, other.nums
+        out = [x * a + y * b for x, y in zip(xs, ys)]
+        m = len(out)  # at most one of the two tails below is nonempty
+        out += [x * a for x in xs[m:]]
+        out += [y * b for y in ys[m:]]
+        return Polynomial._from_int_form(out, den)
+
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        out = [c * (den // self.den) for c in self.nums]
-        ys = [c * (den // other.den) for c in other.nums]
-        if len(out) < len(ys):
-            out, ys = ys, out
-        for i, c in enumerate(ys):
-            out[i] += c
-        return Polynomial._from_int_form(out, den)
+        return self._plus(other, 1)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> Polynomial:
         return Polynomial._from_int_form([-c for c in self.nums], self.den)
@@ -160,12 +169,22 @@ class Polynomial:
                         out[j] += a * b
             return Polynomial._from_int_form(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            nums = [x * c.numerator for x in self.nums]
-            return Polynomial._from_int_form(nums, self.den * c.denominator)
+            # an int is its own numerator over 1: no Fraction is built
+            nums = [x * other.numerator for x in self.nums]
+            return Polynomial._from_int_form(nums, self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def coefficient_strings(self) -> list[str]:
+        """Coefficients as exact "p/q" strings in lowest terms, index = degree,
+        q kept even when it is 1; one gcd per coefficient, no Fraction."""
+        den = self.den
+        out = []
+        for c in self.nums:
+            g = math.gcd(c, den)
+            out.append(f"{c // g}/{den // g}")
+        return out
 
     def __repr__(self) -> str:
         return "Polynomial([" + ", ".join(str(c) for c in self.coeffs) + "])"
@@ -266,9 +285,11 @@ def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:
     """
     if not values:
         raise ValueError("degenerate interpolation input")
-    arr = [_as_fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in arr))
-    diffs = [v.numerator * (den // v.denominator) for v in arr]
+    if any(isinstance(v, float) for v in values):
+        raise TypeError("floating point is not allowed in exact arithmetic")
+    # ints and Fractions both carry .numerator and .denominator
+    den = math.lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (den // v.denominator) for v in values]
     d = len(diffs) - 1
     for j in range(1, d + 1):
         for i in range(d, j - 1, -1):

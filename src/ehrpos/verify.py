@@ -109,7 +109,8 @@ def check_residue_classes_20_9() -> tuple[bool, str]:
 
 def check_counterexample_19() -> tuple[bool, str]:
     p = ehr_sparse(19, 9, LAMBDA_19_9_TABLE)
-    neg = [m for m, c in enumerate(p.coeffs) if c < 0]
+    # p.den > 0, so signs are read from the numerators here and below
+    neg = [m for m, c in enumerate(p.nums) if c < 0]
     return bool(neg), f"negative coefficient indices: {neg}"
 
 
@@ -117,7 +118,7 @@ def check_remark_18() -> tuple[bool, str]:
     p_hyp = ehr_sparse(18, 9, LAMBDA_18_9_HYPOTHETICAL)
     cubic_negative = p_hyp.coeff(3) < 0
     p_known = ehr_sparse(18, 9, LAMBDA_18_9_TABLE)
-    neg_known = [m for m, c in enumerate(p_known.coeffs) if c < 0]
+    neg_known = [m for m, c in enumerate(p_known.nums) if c < 0]
     detail = (
         f"lambda=4240: [t^3] = {p_hyp.coeff(3)} (negative: {cubic_negative}); "
         f"lambda=3540: negative indices {neg_known} (recorded, no claim checked)"
@@ -127,7 +128,7 @@ def check_remark_18() -> tuple[bool, str]:
 
 def check_rank_bound_positivity_17() -> tuple[bool, str]:
     pairs = [(k, n) for n in range(1, 18) for k in range(1, n + 1)]
-    bad = [(k, n) for k, n in pairs if any(c <= 0 for c in _capped_poly(k, n).coeffs)]
+    bad = [(k, n) for k, n in pairs if any(c <= 0 for c in _capped_poly(k, n).nums)]
     if not bad:
         return True, f"all {len(pairs)} capped polynomials positive (violations: [])"
     return False, (
@@ -137,7 +138,7 @@ def check_rank_bound_positivity_17() -> tuple[bool, str]:
 
 
 def check_rank2_positivity() -> tuple[bool, str]:
-    bad = [n for n in range(3, 151) if any(c <= 0 for c in rank2_poly(n).coeffs)]
+    bad = [n for n in range(3, 151) if any(c <= 0 for c in rank2_poly(n).nums)]
     inequalities = verify_rank2_inequalities(150)
     ok = not bad and inequalities
     return ok, f"positivity violations: {bad}; stirling inequalities up to 150: {inequalities}"
@@ -146,7 +147,7 @@ def check_rank2_positivity() -> tuple[bool, str]:
 def check_cubic_only_22_7() -> tuple[bool, str]:
     lam = gs_lower_bound(22, 7)
     p = ehr_sparse(22, 7, lam)
-    neg = [m for m, c in enumerate(p.coeffs) if c < 0]
+    neg = [m for m, c in enumerate(p.nums) if c < 0]
     return neg == [3], f"lambda = {lam}, negative coefficient indices: {neg}"
 
 

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from ehrpos import cli, codes
-from ehrpos.ehrhart import CounterexampleReport, ehr_sparse
+from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_sparse, ehr_uniform
 from ehrpos.matroid import circuit_hyperplane_bound
+from ehrpos.ratpoly import Polynomial
 from ehrpos.verify import CheckResult
 
 
@@ -640,3 +641,28 @@ def test_golden_stdout(name: str, tmp_path, capsys) -> None:
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     if "{output_file}" in argv:
         assert hashlib.sha256(output_file.read_bytes()).hexdigest() == GOLDEN_CODE_FILE
+
+
+# the cases of the search path: build, sign test and "p/q" strings
+INTEGER_PATH_CASES = [
+    "search-json", "search-csv", "search-text", "sparse-text", "sparse-json", "sparse-csv",
+    "uniform", "uniform-json", "uniform-csv",
+    "minimal-shifted", "minimal-shifted-json", "minimal-shifted-csv",
+]
+
+
+@pytest.mark.parametrize("name", INTEGER_PATH_CASES)
+def test_integer_path_reads_no_fraction_coefficients(name: str, monkeypatch, capsys) -> None:
+    def refuse(self: Polynomial) -> None:
+        raise RuntimeError("Polynomial.coeffs read")
+
+    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
+    with pytest.raises(RuntimeError, match="coeffs read"):
+        Polynomial([1]).coeffs
+    # cold caches, so the builds run under the patch as well
+    ehr_uniform.cache_clear()
+    ehr_minimal_shifted.cache_clear()
+    argv, digest = GOLDEN_STDOUT[name]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

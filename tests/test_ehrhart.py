@@ -53,6 +53,24 @@ def test_count_points_uniform_brute_force() -> None:
                 assert count_points_uniform(k, n, t) == brute_count_uniform(k, n, t)
 
 
+def _ref_count_points_uniform(k: int, n: int, t: int) -> int:
+    # the unsymmetrised inclusion-exclusion at rank k, every binomial fresh
+    total = 0
+    for j in range(n + 1):
+        arg = k * t - j * (t + 1) + n - 1
+        if arg < n - 1:
+            break
+        total += (-1) ** j * binomial(n, j) * binomial(arg, n - 1)
+    return total
+
+
+def test_count_points_uniform_matches_unsymmetrised_series() -> None:
+    for n in range(2, 31):
+        for k in range(1, n):
+            for t in range(n + 1):
+                assert count_points_uniform(k, n, t) == _ref_count_points_uniform(k, n, t)
+
+
 def test_count_points_uniform_values() -> None:
     assert count_points_uniform(2, 4, 1) == 6
     assert count_points_uniform(1, 3, 2) == 6
@@ -337,7 +355,29 @@ def test_report_dict_round_trip() -> None:
 
 def test_coefficient_strings_keep_unit_denominator() -> None:
     r = CounterexampleReport.build(4, 2, 2, "user")
-    assert r.coefficient_strings() == ["1/1", "2/1", "1/1"]
+    assert r.ehrhart.coefficient_strings() == ["1/1", "2/1", "1/1"]
+    assert r.to_dict()["coefficients"] == ["1/1", "2/1", "1/1"]
+
+
+def test_coefficient_strings_match_fraction_strings() -> None:
+    # the integer-form strings against the Fractions they replace, on every
+    # search report of 3 <= n <= 30, at the packing cap, and on the shifted
+    # minimal polynomials, whose zero constant prints as "0/1"
+    reports = search_counterexamples(3, 30, 1, 30)
+    reports += [
+        CounterexampleReport.build(r.n, r.k, circuit_hyperplane_bound(r.n, r.k), "user")
+        for r in reports
+    ]
+    polys = [r.ehrhart for r in reports]
+    polys += [ehr_minimal_shifted(k, n) for n in range(2, 31) for k in range(1, n)]
+    polys += [Polynomial([1]), Polynomial([])]
+    seen = set()
+    for p in polys:
+        strings = p.coefficient_strings()
+        assert strings == ehrhart.fraction_strings(p.coeffs)
+        seen.update(strings)
+    assert {"0/1", "1/1"} <= seen
+    assert all(r.to_dict()["coefficients"] == r.ehrhart.coefficient_strings() for r in reports)
 
 
 def test_search_covers_golden_pair() -> None:

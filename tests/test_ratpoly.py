@@ -128,6 +128,15 @@ def test_interpolate_at_naturals_rejects_empty_input() -> None:
         interpolate_at_naturals([])
 
 
+def test_interpolate_at_naturals_rejects_floats() -> None:
+    # a float has no .numerator: without the explicit check it would fail
+    # as an AttributeError instead
+    with pytest.raises(TypeError, match="floating point"):
+        interpolate_at_naturals([0.5, 1])
+    with pytest.raises(TypeError, match="floating point"):
+        interpolate_at_naturals([Fraction(1, 2), 1, 2.0])
+
+
 def test_interpolate_at_naturals_integer_inputs_only() -> None:
     # forward differences of integer data stay integral at every level
     p = interpolate_at_naturals([1, 3, 9, 31])
@@ -223,8 +232,11 @@ def test_mul_matches_fraction_convolution(p: Polynomial, q: Polynomial, c: Fract
     _assert_int_form(p)
 
 
-@given(small_polys, small_polys, fractions)
-def test_add_sub_neg_scale_match_fraction_arithmetic(p: Polynomial, q: Polynomial, c: Fraction) -> None:
+# an int scale takes the integer-only path of __mul__, a Fraction the other
+@given(small_polys, small_polys, st.one_of(st.integers(-(10**9), 10**9), fractions))
+def test_add_sub_neg_scale_match_fraction_arithmetic(
+    p: Polynomial, q: Polynomial, c: int | Fraction
+) -> None:
     a, b = list(p.coeffs), list(q.coeffs)
     width = max(len(a), len(b))
     a += [Fraction(0)] * (width - len(a))
@@ -232,10 +244,12 @@ def test_add_sub_neg_scale_match_fraction_arithmetic(p: Polynomial, q: Polynomia
     results = [
         (p + q, [x + y for x, y in zip(a, b)]),
         (p - q, [x - y for x, y in zip(a, b)]),
+        (q - p, [y - x for x, y in zip(a, b)]),
         (p - p, []),
         (-p, [-x for x in a]),
         (c * p, [c * x for x in a]),
         (p * c, [x * c for x in a]),
+        (p - c * q, [x - c * y for x, y in zip(a, b)]),
     ]
     for r, ref in results:
         _assert_int_form(r)

@@ -87,6 +87,39 @@ def test_formula_import_check_catches_an_import() -> None:
     assert found & FORMULA_MODULES == {"hstar", "cli", "ratpoly"}
 
 
+def _coeffs_reads(tree: ast.Module) -> list[int]:
+    """Lines that read an attribute named `coeffs`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    )
+
+
+def test_only_ratpoly_reads_fraction_coefficients() -> None:
+    # outside ratpoly the integer form (nums, den) is read, which builds no
+    # Fraction; `.coeff(m)` for a single detail value stays allowed
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ratpoly.py"
+        and (lines := _coeffs_reads(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+    ratpoly = SRC / "ratpoly.py"
+    assert _coeffs_reads(ast.parse(ratpoly.read_text()))  # the check sees real reads
+
+
+def test_coeffs_read_check_catches_a_read() -> None:
+    snippet = (
+        "neg = [m for m, c in enumerate(p.coeffs) if c < 0]\n"
+        "quad = p.coeff(2)\n"
+        "signs = [c < 0 for c in p.nums]\n"
+        "strings = fraction_strings(report.ehrhart.coeffs)\n"
+    )
+    assert _coeffs_reads(ast.parse(snippet)) == [1, 4]
+
+
 def test_every_exported_name_is_bound() -> None:
     import ehrpos
 
