@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .codes import DEFAULT_WORD_BUDGET, gs_lower_bound, gs_partition
 from .ehrhart import (
@@ -38,7 +38,7 @@ from .ehrhart import (
 from .errors import BudgetExceededError
 from .hstar import hstar, is_real_rooted
 from .matroid import circuit_hyperplane_bound, matroid_from_text, matroid_to_text
-from .oracle import oracle_count
+from .oracle import check_oracle_instance, oracle_count
 from .ratpoly import binomial
 from .verify import iter_results
 
@@ -144,7 +144,7 @@ def _emit(
     fmt: str,
     records: dict | list[dict],
     text_lines: list[str],
-    columns: list[str] | None = None,
+    columns: Sequence[str] | None = None,
 ) -> None:
     """Print a record, or a list of records, in the requested format.
 
@@ -261,6 +261,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
+    if not (n >= 1 and 0 <= k <= n):
+        raise ValueError(f"need 0 <= k <= n with n >= 1, got (n, k) = ({n}, {k})")
     quad_ok = 2 <= k <= n - 2
     record = {
         "n": n,
@@ -275,12 +277,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-# the keys of CounterexampleReport.to_dict, so an empty grid still gets a csv header
-_REPORT_COLUMNS = [
-    "n", "k", "lambda", "provenance", "coefficients", "negative_indices", "ehrhart_positive"
-]
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_poly_n(args.n_range[1])
     records = [r.to_dict() for r in search_counterexamples(*args.n_range, *args.k_range)]
@@ -290,7 +286,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"positive={_cell(r['ehrhart_positive'])}"
         for r in records
     ]
-    _emit(args.format, records, lines, columns=_REPORT_COLUMNS)
+    _emit(args.format, records, lines, columns=CounterexampleReport.COLUMNS)
     return 0
 
 
@@ -307,6 +303,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     with open(args.matroid_file, encoding="ascii") as fh:
         m = matroid_from_text(fh.read())
+    # refused before the first line is printed, so a refusal leaves stdout empty
+    check_oracle_instance(m, args.t_max)
     formula = ehr_sparse(m.n, m.k, m.lam)
     mismatches = 0
     for t in range(args.t_max + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceededError
-from .matroid import SparsePavingMatroid, validate
+from .matroid import SparsePavingMatroid, elements_of, validate
 from .ratpoly import binomial
 
 DEFAULT_WORD_BUDGET = 2_000_000
@@ -63,14 +63,7 @@ def gs_residue(word: int, n: int) -> int:
     """Residue of a word: sum of (i - 1) over its elements i, mod n."""
     if word >> n:
         raise ValueError(f"word has elements outside {{1..{n}}}")
-    acc = 0
-    pos = 0
-    while word:
-        if word & 1:
-            acc += pos
-        word >>= 1
-        pos += 1
-    return acc % n
+    return (sum(elements_of(word)) - word.bit_count()) % n
 
 
 def _residue_classes(n: int, k: int, max_words: int) -> list[list[int]]:

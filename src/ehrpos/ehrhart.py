@@ -192,6 +192,11 @@ def ehr_uniform_coeff(k: int, n: int, m: int) -> Fraction:
     return Fraction(total, math.factorial(n - 1))
 
 
+def _check_quad_range(k: int, n: int) -> None:
+    if not 2 <= k <= n - 2:
+        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
+
+
 def quad_coeff_minimal_shifted(k: int, n: int) -> Fraction:
     """[t^2] ehr_minimal_shifted(k, n) in closed form:
 
@@ -201,8 +206,7 @@ def quad_coeff_minimal_shifted(k: int, n: int) -> Fraction:
     The Stirling term is [m over 2] = (m-1)! H_{m-1}, so it reduces to
     H_{m-1}/m; the triangular Stirling table would be cubic in n here.
     """
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
+    _check_quad_range(k, n)
     inner = harmonic(n - k - 1) / (n - k)
     acc = Fraction(0)
     for j in range(1, k):
@@ -213,15 +217,13 @@ def quad_coeff_minimal_shifted(k: int, n: int) -> Fraction:
 
 def lower_bound_quad(k: int, n: int) -> Fraction:
     """Lower bound 1/(k(n-1)) on [t^2] ehr_minimal_shifted(k, n)."""
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
+    _check_quad_range(k, n)
     return Fraction(1, k * (n - 1))
 
 
 def upper_bound_quad_uniform(k: int, n: int) -> Fraction:
     """Upper bound C(k+1, 2) H_{n-1}^2 on [t^2] ehr_uniform(k, n)."""
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
+    _check_quad_range(k, n)
     return binomial(k + 1, 2) * harmonic(n - 1) ** 2
 
 
@@ -232,8 +234,7 @@ def intermediate_bound_quad(k: int, n: int) -> Fraction:
     [n over 3] = (n-1)! (H_{n-1}^2 - H^(2)_{n-1}) / 2 keeps this free of
     the triangular Stirling table.
     """
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n - 2, got (k, n) = ({k}, {n})")
+    _check_quad_range(k, n)
     w = binomial(k + 1, 2) + binomial(k, 2)
     return w * (harmonic(n - 1) ** 2 - harmonic2(n - 1)) / 2
 
@@ -250,22 +251,17 @@ def counterexample_inequality(k: int, n: int) -> bool:
 
 
 def _floor_nth_root(x: int, s: int) -> int:
-    """Largest integer r with r**s <= x (integer Newton, exact fixups)."""
+    """Largest integer r with r**s <= x, by bisection below 2**ceil(bits/s)."""
     if x < 0 or s < 1:
         raise ValueError("need x >= 0 and s >= 1")
-    if s == 1 or x in (0, 1):
-        return x
-    r = 1 << ((x.bit_length() + s - 1) // s)
-    while True:
-        nr = ((s - 1) * r + x // r ** (s - 1)) // s
-        if nr >= r:
-            break
-        r = nr
-    while r**s > x:
-        r -= 1
-    while (r + 1) ** s <= x:
-        r += 1
-    return r
+    lo, hi = 0, 1 << -(-x.bit_length() // s)  # lo**s <= x < hi**s
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**s <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _log_bounds(n: int, s: int) -> tuple[Fraction, Fraction]:
@@ -320,7 +316,15 @@ class CounterexampleReport:
     provenance: str
     ehrhart: Polynomial
     negative_coefficient_indices: tuple[int, ...]
-    is_ehrhart_positive: bool
+
+    # the keys of to_dict, in order: the csv header even of an empty grid
+    COLUMNS = (
+        "n", "k", "lambda", "provenance", "coefficients", "negative_indices", "ehrhart_positive"
+    )
+
+    @property
+    def is_ehrhart_positive(self) -> bool:
+        return not self.negative_coefficient_indices
 
     @classmethod
     def build(cls, n: int, k: int, lam: int, provenance: str) -> CounterexampleReport:
@@ -328,19 +332,19 @@ class CounterexampleReport:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
         p = ehr_sparse(n, k, lam)
         # p.den > 0, so each numerator has the sign of its coefficient
-        neg = tuple(m for m, c in enumerate(p.nums) if c < 0)
-        return cls(n, k, lam, provenance, p, neg, not neg)
+        return cls(n, k, lam, provenance, p, tuple(m for m, c in enumerate(p.nums) if c < 0))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "lambda": self.lam,
-            "provenance": self.provenance,
-            "coefficients": self.ehrhart.coefficient_strings(),
-            "negative_indices": list(self.negative_coefficient_indices),
-            "ehrhart_positive": self.is_ehrhart_positive,
-        }
+        values = (
+            self.n,
+            self.k,
+            self.lam,
+            self.provenance,
+            self.ehrhart.coefficient_strings(),
+            list(self.negative_coefficient_indices),
+            self.is_ehrhart_positive,
+        )
+        return dict(zip(self.COLUMNS, values))
 
 
 def search_counterexamples(

@@ -73,15 +73,8 @@ def _neg_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _sign_variations(signs: Sequence[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+    # every sign is +1 or -1: chain members are nonzero polynomials
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def is_real_rooted(coeffs: Sequence[RatLike]) -> bool:

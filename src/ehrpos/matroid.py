@@ -91,6 +91,13 @@ class SparsePavingMatroid:
         return (1 << self.n) - 1
 
 
+def _check_size(n: int, k: int) -> None:
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground set size n={n} outside 1..{MAX_GROUND_SET}")
+    if not 0 <= k <= n:
+        raise ValueError(f"rank k={k} outside 0..{n}")
+
+
 def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
     """Build a SparsePavingMatroid after checking the sparse paving axioms.
 
@@ -99,10 +106,7 @@ def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
     distinctness of the lambda * k shadows (each word with one element
     removed).
     """
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"ground set size n={n} outside 1..{MAX_GROUND_SET}")
-    if not 0 <= k <= n:
-        raise ValueError(f"rank k={k} outside 0..{n}")
+    _check_size(n, k)
     masks = sorted(set(chs))
     full = (1 << n) - 1
     for h in masks:
@@ -259,6 +263,10 @@ def matroid_from_text(text: str) -> SparsePavingMatroid:
         if header is None:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected header 'n k'")
+            try:
+                _check_size(*parts)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             header = (parts[0], parts[1])
             continue
         n, k = header

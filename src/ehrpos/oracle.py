@@ -93,7 +93,9 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     return total
 
 
-def _check_instance(m: SparsePavingMatroid, t: int) -> None:
+def check_oracle_instance(m: SparsePavingMatroid, t: int) -> None:
+    """Raise unless the oracle counts m at dilation t: ValueError for a
+    point or a negative t, BudgetExceededError above its budgets."""
     if not 0 < m.k < m.n:
         raise ValueError("degenerate polytope (a point)")
     if m.n > ORACLE_MAX_N or t > ORACLE_MAX_T:
@@ -108,14 +110,14 @@ def _check_instance(m: SparsePavingMatroid, t: int) -> None:
 def oracle_count(m: SparsePavingMatroid, t: int) -> int:
     """#(t P(M) cap Z^n): integer x with 0 <= x_i <= t, sum x_i = k t, and
     sum over each circuit-hyperplane <= (k-1) t."""
-    _check_instance(m, t)
+    check_oracle_instance(m, t)
     return _count_points(m, t, interior=False)
 
 
 def oracle_interior_count(m: SparsePavingMatroid, t: int) -> int:
     """Relative-interior count: all facet inequalities strict, the
     hyperplane sum x_i = k t kept as an equality."""
-    _check_instance(m, t)
+    check_oracle_instance(m, t)
     return _count_points(m, t, interior=True)
 
 

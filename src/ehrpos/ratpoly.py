@@ -14,7 +14,8 @@ multiplies the numerators; neither builds a `Fraction`.  Interpolation
 reads the numerator and denominator of each value as they are.  The
 "p/q" strings of the reports come from the same form with one gcd per
 coefficient, and a `Fraction` is built only when a reader asks for
-`coeffs`, once per coefficient.
+`coeffs` or `coeff(m)`: `coeffs` builds its tuple on each read and keeps
+no cache.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
@@ -52,32 +53,29 @@ class Polynomial:
     t**m, kept canonical (den > 0, gcd(den, *nums) == 1, no trailing zero
     numerator), so equal polynomials have equal forms and the zero
     polynomial is ((), 1).  `coeffs` gives the same coefficients as
-    Fractions, built from that form on first read, so intermediate results
-    of the arithmetic never build one.
+    Fractions, built from that form on each read and kept nowhere, so
+    intermediate results of the arithmetic never build one.
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     nums: tuple[int, ...]
     den: int
 
     def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        # lowest-terms Fractions over the lcm of their denominators are
-        # already canonical: no prime of the lcm divides every numerator
-        self.den = math.lcm(*(c.denominator for c in cs))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
-        self._coeffs: tuple[Fraction, ...] | None = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set_canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def _from_int_form(cls, nums: Sequence[int], den: int) -> Polynomial:
-        """The polynomial sum_m nums[m] t**m / den, for den > 0.
+        """The polynomial sum_m nums[m] t**m / den, for den > 0."""
+        p = cls.__new__(cls)
+        p._set_canonical(nums, den)
+        return p
 
-        Trailing zeros are stripped, and numerators and denominator are
-        divided by their common gcd.
-        """
+    def _set_canonical(self, nums: Sequence[int], den: int) -> None:
+        """Store nums / den, den > 0, in the canonical form."""
         nums = list(nums)
         while nums and nums[-1] == 0:
             nums.pop()
@@ -85,18 +83,13 @@ class Polynomial:
         if g > 1:
             nums = [c // g for c in nums]
             den //= g
-        p = cls.__new__(cls)
-        p.nums = tuple(nums)
-        p.den = den
-        p._coeffs = None
-        return p
+        self.nums = tuple(nums)
+        self.den = den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """coeffs[m] is the coefficient of t**m, as a Fraction."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self.den) for c in self.nums)
-        return self._coeffs
+        """coeffs[m] is the coefficient of t**m, as a Fraction, built on each read."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int | float:
@@ -105,8 +98,8 @@ class Polynomial:
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of t**m (zero beyond the degree)."""
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
+        if 0 <= m < len(self.nums):
+            return Fraction(self.nums[m], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
@@ -216,28 +209,27 @@ _harmonic2_vals: list[Fraction] = [Fraction(0)]
 _harmonic_lock = threading.Lock()
 
 
-def harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0."""
+def _partial_sum(vals: list[Fraction], n: int, power: int) -> Fraction:
+    """vals[n] = sum of 1/j**power for 1 <= j <= n, growing the table
+    vals as needed; 0 for n <= 0."""
     if n <= 0:
         return Fraction(0)
-    if n >= len(_harmonic_vals):
+    if n >= len(vals):
         with _harmonic_lock:
-            while len(_harmonic_vals) <= n:
-                j = len(_harmonic_vals)
-                _harmonic_vals.append(_harmonic_vals[j - 1] + Fraction(1, j))
-    return _harmonic_vals[n]
+            while len(vals) <= n:
+                j = len(vals)
+                vals.append(vals[j - 1] + Fraction(1, j**power))
+    return vals[n]
+
+
+def harmonic(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0."""
+    return _partial_sum(_harmonic_vals, n, 1)
 
 
 def harmonic2(n: int) -> Fraction:
     """Second-order harmonic number H_n^(2) = sum of 1/i**2 for i <= n."""
-    if n <= 0:
-        return Fraction(0)
-    if n >= len(_harmonic2_vals):
-        with _harmonic_lock:
-            while len(_harmonic2_vals) <= n:
-                j = len(_harmonic2_vals)
-                _harmonic2_vals.append(_harmonic2_vals[j - 1] + Fraction(1, j * j))
-    return _harmonic2_vals[n]
+    return _partial_sum(_harmonic2_vals, n, 2)
 
 
 def binom_poly(a: int, b: int) -> Polynomial:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ehrpos import cli, codes
+from ehrpos import cli, codes, oracle
 from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_sparse, ehr_uniform
 from ehrpos.matroid import circuit_hyperplane_bound
 from ehrpos.ratpoly import Polynomial
@@ -205,6 +205,15 @@ def test_bounds_output(capsys) -> None:
     assert "quad_lower_bound" not in out
 
 
+@pytest.mark.parametrize("n, k", [(5, 9), (-3, 1), (0, 0)])
+def test_bounds_impossible_nk_is_exit_1(n: int, k: int, capsys) -> None:
+    code = cli.main(["bounds", "--n", str(n), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: need 0 <= k <= n with n >= 1, got (n, k) = ({n}, {k})\n"
+
+
 def test_search_text_and_csv(capsys) -> None:
     code, out = run_cli(capsys, "search", "--n-range", "4:5", "--k-range", "2:2")
     assert code == 0
@@ -374,6 +383,26 @@ def test_oracle_mismatch_is_exit_3(tmp_path, capsys, monkeypatch) -> None:
     code, out = run_cli(capsys, "oracle", "--matroid-file", str(f), "--t-max", "1")
     assert code == 3
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "t_max, status, err",
+    [
+        (oracle.ORACLE_MAX_T + 2, 2, "error: oracle instance too large: "),
+        (-1, 1, "error: dilation must be nonnegative"),
+    ],
+    ids=["over-budget", "negative"],
+)
+def test_oracle_refuses_before_printing(
+    t_max: int, status: int, err: str, tmp_path, capsys
+) -> None:
+    f = tmp_path / "m.txt"
+    f.write_text("5 2\n1 2\n3 4\n", encoding="ascii")
+    code = cli.main(["oracle", "--matroid-file", str(f), "--t-max", str(t_max)])
+    captured = capsys.readouterr()
+    assert code == status
+    assert captured.out == ""
+    assert captured.err.startswith(err)
 
 
 def test_verify_paper_failure_is_exit_3(capsys, monkeypatch) -> None:

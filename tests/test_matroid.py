@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrpos import matroid
 from ehrpos.matroid import (
     LinearConstraint,
     SparsePavingMatroid,
@@ -232,6 +233,19 @@ def test_text_parse_errors_carry_line_numbers() -> None:
         matroid_from_text("")
     with pytest.raises(ValueError, match="invalid matroid"):
         matroid_from_text("6 3\n1 2 3\n1 2 4\n")
+
+
+def test_text_header_checked_before_any_mask(monkeypatch) -> None:
+    # an oversized header must be refused before a line is turned into a mask,
+    # whose int would be as wide as the header's n
+    def refuse(elements, n):
+        raise AssertionError("mask built before the header was checked")
+
+    monkeypatch.setattr(matroid, "mask_from_elements", refuse)
+    with pytest.raises(ValueError, match=r"^line 1: ground set size n=100 outside 1\.\.64$"):
+        matroid_from_text("100 1\n100\n")
+    with pytest.raises(ValueError, match=r"^line 2: rank k=7 outside 0\.\.6$"):
+        matroid_from_text("\n6 7\n1 2 3 4 5 6 7\n")
 
 
 def test_blank_lines_ignored() -> None:

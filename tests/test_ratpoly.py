@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehrpos import ratpoly
 from ehrpos.ratpoly import (
     NEG_INFINITY,
     Polynomial,
@@ -93,6 +94,19 @@ def test_harmonic_values() -> None:
     # second-order series is the square sum, first-order the plain sum
     assert harmonic(100) == sum(Fraction(1, i) for i in range(1, 101))
     assert harmonic2(60) == sum(Fraction(1, i * i) for i in range(1, 61))
+
+
+def test_harmonic_tables_match_direct_sums() -> None:
+    # grow the second-order table past the first-order one, then read the
+    # first-order table past its end: each table grows on its own
+    top = max(300, len(ratpoly._harmonic_vals), len(ratpoly._harmonic2_vals)) + 20
+    assert harmonic2(top) == sum(Fraction(1, i * i) for i in range(1, top + 1))
+    assert harmonic(top) == sum(Fraction(1, i) for i in range(1, top + 1))
+    h = h2 = Fraction(0)
+    for n in range(301):
+        assert (harmonic(n), harmonic2(n)) == (h, h2)
+        h += Fraction(1, n + 1)
+        h2 += Fraction(1, (n + 1) ** 2)
 
 
 def test_binom_poly_examples() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -124,3 +125,52 @@ def test_every_exported_name_is_bound() -> None:
     import ehrpos
 
     assert [name for name in ehrpos.__all__ if not hasattr(ehrpos, name)] == []
+
+
+# every option string of each subcommand: a new option has to change this pin
+CLI_OPTIONS = {
+    "uniform": ["--format", "--n", "--k"],
+    "minimal": ["--format", "--n", "--k", "--shifted"],
+    "sparse": ["--format", "--n", "--k", "--lambda", "--provenance", "--matroid-file"],
+    "code": ["--format", "--n", "--k", "--output", "--max-words"],
+    "bounds": ["--format", "--n", "--k"],
+    "search": ["--format", "--n-range", "--k-range"],
+    "verify-paper": ["--heavy"],
+    "oracle": ["--matroid-file", "--t-max"],
+    "hstar": ["--format", "--n", "--k", "--lambda", "--check-real-rooted"],
+}
+
+
+def test_cli_options_are_pinned() -> None:
+    from ehrpos.cli import build_parser
+
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, p in subparsers.choices.items()
+    }
+    assert found == CLI_OPTIONS
+    assert sum(map(len, found.values())) == 32
+
+
+def _defaulted_parameters(tree: ast.Module) -> int:
+    """Parameters with a default value, positional or keyword-only, over
+    every function and lambda."""
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def test_defaulted_parameter_count_is_pinned() -> None:
+    # each default is a setting some caller can change: a new one has to
+    # change this pin
+    found = sum(_defaulted_parameters(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py")))
+    assert found == 7
+
+
+def test_defaulted_parameter_count_sees_every_kind() -> None:
+    snippet = "def f(a, b=1, *, c, d=2): pass\nasync def g(e=3): pass\nh = lambda i=4: i\n"
+    assert _defaulted_parameters(ast.parse(snippet)) == 4
