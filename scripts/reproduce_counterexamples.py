@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Recompute the headline Ehrhart-positivity counterexamples from scratch.
 
-For each case the script rebuilds lambda (from the residue construction or
-an external table value), recomputes the polynomial exactly, and prints the
-negative coefficients with their exact fractions.
+For each case the script rebuilds lambda (from the residue construction,
+whose class is validated as a circuit-hyperplane family, or an external
+table value), recomputes the polynomial exactly, and prints the negative
+coefficients with their exact fractions.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from ehrpos.codes import gs_best_class, gs_lower_bound
+from ehrpos.codes import gs_best_class
 from ehrpos.ehrhart import CounterexampleReport
 
 CASES = [
@@ -23,23 +24,12 @@ CASES = [
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--validate-code",
-        action="store_true",
-        help="run the full pairwise distance check on the residue classes (slow)",
-    )
-    args = parser.parse_args()
+    # no options: parsed so that --help works and unknown arguments are refused
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     for n, k, source, provenance in CASES:
-        if source == "gs":
-            lam = gs_lower_bound(n, k)
-            if args.validate_code:
-                code = gs_best_class(n, k)
-                code.to_matroid()  # raises unless the class is a valid family
-                lam = len(code.words)
-        else:
-            lam = source
+        # to_matroid raises unless the class is a valid family
+        lam = gs_best_class(n, k).to_matroid().lam if source == "gs" else source
         report = CounterexampleReport.build(n, k, lam, provenance)
         verdict = "positive" if report.is_ehrhart_positive else "NOT positive"
         print(f"(n, k, lambda) = ({n}, {k}, {lam})  [{provenance}]: {verdict}")

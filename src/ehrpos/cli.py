@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from .codes import DEFAULT_WORD_BUDGET, gs_lower_bound, gs_partition
+from .codes import gs_lower_bound, gs_partition
 from .ehrhart import (
     PROVENANCES,
     CounterexampleReport,
@@ -50,6 +50,11 @@ REAL_ROOTED_MAX_DEGREE = 100
 # of --n-range) refuse larger n.  The cost grows about as n^3.4; at n = 400
 # the worst k, about n / 2, takes 6-9 s per polynomial on a 2-core machine.
 POLY_MAX_N = 400
+# `bounds` refuses larger n.  The numerator and denominator of
+# C(k+1, 2) H_{n-1}^2 have about 0.87 n decimal digits, and by default
+# Python refuses to print an int of more than 4,300 digits (the largest n
+# that prints is 4,967); n = 4,000 takes 0.08 s.
+BOUNDS_MAX_N = 4000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("code", "residue-class constant-weight code and its matroid")
     p.add_argument("--output", help="write the matroid text format here instead of stdout")
-    p.add_argument("--max-words", type=int, default=DEFAULT_WORD_BUDGET)
 
     add("bounds", "circuit-hyperplane and quadratic-coefficient bounds")
 
@@ -115,10 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", type=_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--k-range", type=_range_arg, default=(1, 63), metavar="LO:HI")
 
-    p = add(
+    add(
         "verify-paper", "run the acceptance suite and print pass/fail per item", fmt=False, nk=False
     )
-    p.add_argument("--heavy", action="store_true", help="include the rank-3 n=3589 check")
 
     p = add("oracle", "compare oracle lattice point counts with the formula", fmt=False, nk=False)
     p.add_argument("--matroid-file", required=True)
@@ -205,7 +208,7 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--{flag} {given} disagrees with matroid file ({flag} = {actual})"
                 )
-        report = CounterexampleReport.build(m.n, m.k, m.lam, "user")
+        report = CounterexampleReport.build(m.n, m.k, m.lam, args.provenance)
     else:
         if args.n is None or args.k is None:
             raise ValueError("--n and --k are required with --lambda")
@@ -239,7 +242,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     # entered before the enumeration, so an unwritable path fails with empty stdout
     out = args.output
     with contextlib.nullcontext() if out is None else _replaced_on_success(out) as fh:
-        sizes, code = gs_partition(n, k, max_words=args.max_words)
+        sizes, code = gs_partition(n, k)
         matroid_text = matroid_to_text(code.to_matroid())
         if fh is not None:
             fh.write(matroid_text)
@@ -263,6 +266,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if not (n >= 1 and 0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n with n >= 1, got (n, k) = ({n}, {k})")
+    if n > BOUNDS_MAX_N:
+        raise BudgetExceededError(f"bounds too large: n = {n} (max {BOUNDS_MAX_N})")
     quad_ok = 2 <= k <= n - 2
     record = {
         "n": n,
@@ -292,8 +297,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     failures = 0
-    for res in iter_results(heavy=args.heavy):
-        print(f"{res.status.upper():4s} criterion {res.criterion:2d}: {res.name} :: {res.detail}")
+    for res in iter_results():
+        print(f"{res.status.upper()} criterion {res.criterion:2d}: {res.name} :: {res.detail}")
         if res.status == "fail":
             failures += 1
     print(f"{failures} criterion(s) failed" if failures else "all criteria passed")

@@ -7,6 +7,9 @@ by moving a single set bit, which changes T; hence each class is a code
 of minimum distance >= 4 and so a valid circuit-hyperplane family, which
 `to_matroid` checks again like any other.  By pigeonhole the largest class
 has at least binomial(n, k) / n words.
+
+The partition lists every word, so it refuses (n, k) with more than
+`WORD_BUDGET` words before enumerating any.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import BudgetExceededError
 from .matroid import SparsePavingMatroid, elements_of, validate
 from .ratpoly import binomial
 
-DEFAULT_WORD_BUDGET = 2_000_000
+WORD_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,15 @@ def gs_residue(word: int, n: int) -> int:
     return (sum(elements_of(word)) - word.bit_count()) % n
 
 
-def _residue_classes(n: int, k: int, max_words: int) -> list[list[int]]:
+def _residue_classes(n: int, k: int) -> list[list[int]]:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got (n, k) = ({n}, {k})")
     if n < 1:
         raise ValueError("need n >= 1")
     total = binomial(n, k)
-    if total > max_words:
+    if total > WORD_BUDGET:
         raise BudgetExceededError(
-            f"class enumeration too large: binomial({n},{k}) = {total} > {max_words}"
+            f"class enumeration too large: binomial({n},{k}) = {total} > {WORD_BUDGET}"
         )
     classes: list[list[int]] = [[] for _ in range(n)]
     # ascending words come in runs that share everything above the low
@@ -96,15 +99,13 @@ def gs_classes(n: int, k: int) -> list[int]:
     The sizes sum to binomial(n, k) and the largest is at least
     ceil(binomial(n, k) / n).
     """
-    return [len(c) for c in _residue_classes(n, k, DEFAULT_WORD_BUDGET)]
+    return [len(c) for c in _residue_classes(n, k)]
 
 
-def gs_partition(
-    n: int, k: int, *, max_words: int = DEFAULT_WORD_BUDGET
-) -> tuple[list[int], ConstantWeightCode]:
+def gs_partition(n: int, k: int) -> tuple[list[int], ConstantWeightCode]:
     """Class sizes (as gs_classes) and a class of maximum size, ties broken
     by smallest residue, from one pass over the words."""
-    classes = _residue_classes(n, k, max_words)
+    classes = _residue_classes(n, k)
     best = max(range(n), key=lambda i: (len(classes[i]), -i))
     code = ConstantWeightCode(n=n, k=k, words=tuple(classes[best]), class_index=best)
     return [len(c) for c in classes], code

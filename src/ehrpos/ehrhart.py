@@ -77,13 +77,11 @@ def ehr_uniform(k: int, n: int) -> Polynomial:
     """Ehrhart polynomial of the hypersimplex, by exact interpolation.
 
     Degree n - 1, constant term 1, and symmetric in k and n - k.  For
-    k in {0, n} the polytope is a single point and the constant
-    polynomial 1 is returned.
+    k in {0, n} the polytope is a single point: every count is 1, and the
+    interpolation gives the constant polynomial 1.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got (k, n) = ({k}, {n})")
-    if k in (0, n):
-        return Polynomial([1])
     return interpolate_at_naturals([count_points_uniform(k, n, t) for t in range(n)])
 
 
@@ -158,8 +156,6 @@ def ehr_sparse(n: int, k: int, lam: int) -> Polynomial:
             f"no sparse paving matroid with lambda = {lam} exists for "
             f"(n, k) = ({n}, {k}): the circuit-hyperplane count is capped at {bound}"
         )
-    if lam == 0:
-        return ehr_uniform(k, n)
     return ehr_uniform(k, n) - lam * ehr_minimal_shifted(k, n)
 
 
@@ -173,7 +169,7 @@ def ehr_uniform_coeff(k: int, n: int, m: int) -> Fraction:
     carried only up to degree m, so the work is O(k n m) integer
     operations, and the sum is divided by (n-1)! once.
     """
-    if n < 1 or not 0 < k < n:
+    if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got (k, n) = ({k}, {n})")
     if not 0 <= m <= n - 1:
         raise ValueError(f"coefficient index {m} outside 0..{n - 1}")

@@ -7,8 +7,7 @@ per check, which the command line front end prints as a pass/fail table;
 the acceptance tests run each entry of `CHECKS` through `run_check`.
 
 The rank-3 threshold check reads a single coefficient of a degree-3588
-polynomial from Katzman's formula (about 0.1 s); it only runs when heavy
-checks are requested.
+polynomial from Katzman's formula (about 0.1 s) instead of building it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ RANK3_CONSTRUCTION_N = 3589
 class CheckResult:
     criterion: int
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     detail: str
 
 
@@ -287,7 +286,7 @@ CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (7, "only the cubic negative at (22, 7, gs bound)", check_cubic_only_22_7),
     (8, "harmonic inequality thresholds", check_inequality_thresholds),
     (9, "oracle certification over all small matroids", check_oracle_certification),
-    (10, "rank-3 threshold n = 3589 (heavy)", check_rank3_threshold),
+    (10, "rank-3 threshold n = 3589", check_rank3_threshold),
     (11, "h* integrality, nonnegativity, real-rootedness", check_hstar_sanity),
 ]
 
@@ -300,11 +299,7 @@ def run_check(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> 
     return CheckResult(criterion, name, "pass" if ok else "fail", detail)
 
 
-def iter_results(*, heavy: bool = False) -> Iterator[CheckResult]:
-    """Run the suite check by check; the heavy rank-3 one is skipped unless
-    asked for."""
+def iter_results() -> Iterator[CheckResult]:
+    """Run the suite check by check, in the order of `CHECKS`."""
     for criterion, name, fn in CHECKS:
-        if criterion == 10 and not heavy:
-            yield CheckResult(criterion, name, "skip", "pass --heavy to run")
-            continue
         yield run_check(criterion, name, fn)

@@ -107,6 +107,10 @@ def test_sparse_matroid_file(tmp_path, capsys) -> None:
     assert code == 0
     d = json.loads(out)
     assert (d["n"], d["k"], d["lambda"], d["provenance"]) == (6, 3, 2, "user")
+    # an explicit provenance is recorded, as it is with --lambda
+    code, out = run_cli(capsys, "sparse", "--matroid-file", str(f), "--provenance", "gs-bound")
+    assert code == 0
+    assert "provenance = gs-bound" in out.splitlines()
 
 
 def test_sparse_matroid_file_line_errors(tmp_path, capsys) -> None:
@@ -152,7 +156,8 @@ def test_code_json_schema(capsys) -> None:
 
 
 def test_code_budget_is_exit_2(capsys) -> None:
-    code = cli.main(["code", "--n", "40", "--k", "20", "--max-words", "100"])
+    # C(40, 20) is about 1.4e11 words, past codes.WORD_BUDGET
+    code = cli.main(["code", "--n", "40", "--k", "20"])
     assert code == 2
     assert "class enumeration too large" in capsys.readouterr().err
 
@@ -160,7 +165,7 @@ def test_code_budget_is_exit_2(capsys) -> None:
 def test_code_budget_leaves_the_output_file_as_it_was(tmp_path, capsys) -> None:
     f = tmp_path / "code.txt"
     f.write_text("keep me")
-    code = cli.main(["code", "--n", "40", "--k", "20", "--max-words", "100", "--output", str(f)])
+    code = cli.main(["code", "--n", "40", "--k", "20", "--output", str(f)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -182,7 +187,7 @@ def test_code_unwritable_output_fails_fast(tmp_path, capsys) -> None:
 def test_code_rejects_a_class_that_is_not_distance_4(tmp_path, capsys, monkeypatch) -> None:
     # {1,2,3} and {1,2,4} are at Hamming distance 2: no sparse paving matroid
     bad = codes.ConstantWeightCode(6, 3, (0b000111, 0b001011), class_index=0)
-    monkeypatch.setattr(cli, "gs_partition", lambda n, k, max_words: ([2, 0, 0, 0, 0, 0], bad))
+    monkeypatch.setattr(cli, "gs_partition", lambda n, k: ([2, 0, 0, 0, 0, 0], bad))
     f = tmp_path / "code.txt"
     f.write_text("keep me")
     code = cli.main(["code", "--n", "6", "--k", "3", "--output", str(f)])
@@ -203,6 +208,25 @@ def test_bounds_output(capsys) -> None:
     code, out = run_cli(capsys, "bounds", "--n", "6", "--k", "1")
     assert code == 0
     assert "quad_lower_bound" not in out
+
+
+def test_bounds_budget_is_exit_2(capsys, monkeypatch) -> None:
+    n = cli.BOUNDS_MAX_N
+    code, out = run_cli(capsys, "bounds", "--n", str(n), "--k", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["quad_upper_bound_uniform"] is not None
+
+    # one past the budget is refused before any bound is computed
+    def refuse(k: int, n: int) -> None:
+        raise AssertionError("bound computed past the budget")
+
+    monkeypatch.setattr(cli, "upper_bound_quad_uniform", refuse)
+    n += 1
+    code = cli.main(["bounds", "--n", str(n), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: bounds too large: n = {n} (max {cli.BOUNDS_MAX_N})\n"
 
 
 @pytest.mark.parametrize("n, k", [(5, 9), (-3, 1), (0, 0)])
@@ -410,7 +434,7 @@ def test_verify_paper_failure_is_exit_3(capsys, monkeypatch) -> None:
         CheckResult(1, "stub pass", "pass", "ok"),
         CheckResult(2, "stub fail", "fail", "boom"),
     ]
-    monkeypatch.setattr(cli, "iter_results", lambda heavy: iter(results))
+    monkeypatch.setattr(cli, "iter_results", lambda: iter(results))
     code, out = run_cli(capsys, "verify-paper")
     assert code == 3
     lines = out.splitlines()
@@ -419,10 +443,19 @@ def test_verify_paper_failure_is_exit_3(capsys, monkeypatch) -> None:
     assert lines[-1] == "1 criterion(s) failed"
 
 
-def test_unknown_flag_is_exit_1() -> None:
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["uniform", "--n", "3", "--k", "1", "--frobnicate"])
-    assert exc.value.code == 1
+def test_unknown_flag_is_exit_1(capsys) -> None:
+    # includes the removed options `verify-paper --heavy` and `code --max-words`
+    for argv in (
+        ["uniform", "--n", "3", "--k", "1", "--frobnicate"],
+        ["verify-paper", "--heavy"],
+        ["code", "--n", "6", "--k", "3", "--max-words", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "unrecognized arguments" in captured.err, argv
 
 
 def test_missing_subcommand_is_exit_1() -> None:
@@ -524,9 +557,11 @@ GOLDEN_STDOUT = {
         ["hstar", "--n", "60", "--k", "2", "--lambda", "30", "--check-real-rooted"],
         "fa502373d682780f914ab84f8590e28888c4d3f591a8e160d190a5e93c867ff4",
     ),
+    # re-pinned when criterion 10 began to run by default: the former
+    # `verify-paper --heavy` stdout with " (heavy)" dropped from its name
     "verify-paper": (
         ["verify-paper"],
-        "4cdc4f0bc65d55d7a36210a4d223d2f1f9de707c84dabee650801dab6cbea1c0",
+        "81be53741fdadc52bf935081a3e82687a55f62da95eece04965e232f52477afe",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],

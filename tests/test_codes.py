@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrpos import codes
 from ehrpos.codes import (
-    DEFAULT_WORD_BUDGET,
     ConstantWeightCode,
     _residue_classes,
     gs_best_class,
@@ -65,11 +65,11 @@ def test_gs_residue_matches_bit_walk(case: tuple[int, int]) -> None:
 def test_residue_classes_match_reference_partition() -> None:
     for n in range(1, 13):
         for k in range(n + 1):
-            assert _residue_classes(n, k, DEFAULT_WORD_BUDGET) == _ref_classes(n, k), (n, k)
+            assert _residue_classes(n, k) == _ref_classes(n, k), (n, k)
     by_residue: list[list[int]] = [[] for _ in range(20)]
     for w in weight_k_masks(20, 9):
         by_residue[_ref_residue(w, 20)].append(w)
-    assert _residue_classes(20, 9, DEFAULT_WORD_BUDGET) == by_residue
+    assert _residue_classes(20, 9) == by_residue
 
 
 def test_gs_classes_4_2() -> None:
@@ -148,13 +148,17 @@ def test_bounds_scalar_values() -> None:
     assert gs_lower_bound(5, 7) == 0
 
 
-def test_budget_error() -> None:
+def test_budget_error(monkeypatch) -> None:
     with pytest.raises(BudgetExceededError, match="class enumeration too large"):
-        gs_partition(40, 20, max_words=1000)
+        gs_partition(40, 20)
     with pytest.raises(BudgetExceededError):
         gs_best_class(64, 32)
-    # explicit budgets override the default
-    assert sum(gs_partition(16, 8, max_words=13000)[0]) == binomial(16, 8)
+    # the budget is read at call time and admits exactly binomial(n, k) words
+    monkeypatch.setattr(codes, "WORD_BUDGET", binomial(16, 8))
+    assert sum(gs_partition(16, 8)[0]) == binomial(16, 8)
+    monkeypatch.setattr(codes, "WORD_BUDGET", binomial(16, 8) - 1)
+    with pytest.raises(BudgetExceededError, match="12870 > 12869"):
+        gs_partition(16, 8)
 
 
 def test_code_determinism() -> None:

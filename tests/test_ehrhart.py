@@ -91,8 +91,9 @@ def test_ehr_uniform_small() -> None:
 
 
 def test_ehr_uniform_degenerate_ranks() -> None:
-    assert ehr_uniform(0, 5) == Polynomial([1])
-    assert ehr_uniform(5, 5) == Polynomial([1])
+    # a point polytope: interpolating n counts of 1 gives the constant 1
+    for n in range(1, 31):
+        assert ehr_uniform(0, n) == ehr_uniform(n, n) == Polynomial([1]), n
     with pytest.raises(ValueError):
         ehr_uniform(6, 5)
     with pytest.raises(ValueError):
@@ -179,7 +180,10 @@ def test_ehr_sparse_telescopes() -> None:
     shifted = ehr_minimal_shifted(3, 7)
     for lam in range(1, circuit_hyperplane_bound(7, 3) + 1):
         assert ehr_sparse(7, 3, lam) == ehr_sparse(7, 3, lam - 1) - shifted
-    assert ehr_sparse(7, 3, 0) == ehr_uniform(3, 7)
+    # lambda = 0 runs the master formula too, with nothing subtracted
+    for n in range(2, 21):
+        for k in range(1, n):
+            assert ehr_sparse(n, k, 0) == ehr_uniform(k, n), (n, k)
 
 
 def test_ehr_sparse_duality() -> None:

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("rank3_threshold.py", ["--n", "40", "--k", "5"], "n = 40, k = 5, lambda = 16450 (floor C(n,k)/n)"),
         (
             "reproduce_counterexamples.py",
-            ["--validate-code"],
+            [],
             "(n, k, lambda) = (20, 9, 8398)  [gs-bound]: NOT positive",
         ),
     ],

@@ -6,16 +6,18 @@ import argparse
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ehrpos"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ehrpos"
+# the package modules and the scripts built on them
+PROGRAM_FILES = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_src_has_no_assert_statements() -> None:
     # python -O strips assert statements, so invariants must raise explicitly
-    files = sorted(SRC.glob("*.py"))
-    assert files
+    assert {path.parent.name for path in PROGRAM_FILES} == {"ehrpos", "scripts"}
     found = [
         f"{path.name}:{node.lineno}"
-        for path in files
+        for path in PROGRAM_FILES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
@@ -39,7 +41,7 @@ def test_src_modules_use_every_import() -> None:
     # no linter runs here, so an import left behind by a deletion is caught here
     found = {
         path.name: unused
-        for path in sorted(SRC.glob("*.py"))
+        for path in PROGRAM_FILES
         if path.name != "__init__.py"
         and (unused := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
@@ -132,10 +134,10 @@ CLI_OPTIONS = {
     "uniform": ["--format", "--n", "--k"],
     "minimal": ["--format", "--n", "--k", "--shifted"],
     "sparse": ["--format", "--n", "--k", "--lambda", "--provenance", "--matroid-file"],
-    "code": ["--format", "--n", "--k", "--output", "--max-words"],
+    "code": ["--format", "--n", "--k", "--output"],
     "bounds": ["--format", "--n", "--k"],
     "search": ["--format", "--n-range", "--k-range"],
-    "verify-paper": ["--heavy"],
+    "verify-paper": [],
     "oracle": ["--matroid-file", "--t-max"],
     "hstar": ["--format", "--n", "--k", "--lambda", "--check-real-rooted"],
 }
@@ -151,7 +153,7 @@ def test_cli_options_are_pinned() -> None:
         for name, p in subparsers.choices.items()
     }
     assert found == CLI_OPTIONS
-    assert sum(map(len, found.values())) == 32
+    assert sum(map(len, found.values())) == 30
 
 
 def _defaulted_parameters(tree: ast.Module) -> int:
@@ -168,7 +170,7 @@ def test_defaulted_parameter_count_is_pinned() -> None:
     # each default is a setting some caller can change: a new one has to
     # change this pin
     found = sum(_defaulted_parameters(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py")))
-    assert found == 7
+    assert found == 5
 
 
 def test_defaulted_parameter_count_sees_every_kind() -> None:
