@@ -32,6 +32,7 @@ from .ehrhart import (
     fraction_strings,
     intermediate_bound_quad,
     lower_bound_quad,
+    search_cells,
     search_counterexamples,
     upper_bound_quad_uniform,
 )
@@ -44,12 +45,18 @@ from .verify import iter_results
 
 # `hstar --check-real-rooted` refuses h*-polynomials of higher degree.  The
 # degree does not bound the coefficient size, so it does not bound the time:
-# (80, 40) is degree 79 and still takes about 12 s.
+# (80, 40) is degree 79 and still takes 10-11 s as a whole process on a
+# 2-core machine.
 REAL_ROOTED_MAX_DEGREE = 100
 # `uniform`, `minimal`, `sparse --lambda`, `hstar` and `search` (at the top
 # of --n-range) refuse larger n.  The cost grows about as n^3.4; at n = 400
-# the worst k, about n / 2, takes 6-9 s per polynomial on a 2-core machine.
+# the worst k, about n / 2, takes 4-6 s per polynomial on a 2-core machine.
 POLY_MAX_N = 400
+# `search` refuses a grid whose cells (n, k) sum to more work units, one per
+# n^3 min(k, n - k): a cell's time grows so, at about 2e9 units per second.
+# The largest grid from n = 3 with the default --k-range is --n-range 3:122
+# (5,669 cells, 9.7e10 units), which takes about 55 s on a 2-core machine.
+SEARCH_MAX_WORK = 10**11
 # `bounds` refuses larger n.  The numerator and denominator of
 # C(k+1, 2) H_{n-1}^2 have about 0.87 n decimal digits, and by default
 # Python refuses to print an int of more than 4,300 digits (the largest n
@@ -284,6 +291,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     _check_poly_n(args.n_range[1])
+    cells = search_cells(*args.n_range, *args.k_range)
+    work = sum(n**3 * min(k, n - k) for n, k in cells)
+    if work > SEARCH_MAX_WORK:
+        raise BudgetExceededError(
+            f"search grid too large: {len(cells)} cells, {work} work units (max {SEARCH_MAX_WORK})"
+        )
     records = [r.to_dict() for r in search_counterexamples(*args.n_range, *args.k_range)]
     lines = [
         f"n={r['n']} k={r['k']} lambda={r['lambda']} provenance={r['provenance']} "

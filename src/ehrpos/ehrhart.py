@@ -101,10 +101,10 @@ def _minimal_at(k: int, n: int, s: int) -> Polynomial:
     ratio = 1
     for j in range(k - 1, 0, -1):
         ratio *= j  # (k-1)!/(j-1)!
-        acc = times_linear(acc, s + j)
+        times_linear(acc, s + j)
         acc[0] += binomial(n - k - 2 + j, j - 1) * ratio
     for i in range(1, n - k + 1):
-        acc = times_linear(acc, s + i)
+        times_linear(acc, s + i)
     return Polynomial._from_int_form(acc, math.factorial(n - 1))
 
 
@@ -346,16 +346,22 @@ class CounterexampleReport:
 def search_counterexamples(
     n_min: int, n_max: int, k_min: int, k_max: int
 ) -> list[CounterexampleReport]:
-    """Check Ehrhart positivity at lambda = gs_lower_bound over a grid.
+    """Check Ehrhart positivity at lambda = gs_lower_bound on each cell of
+    search_cells(n_min, n_max, k_min, k_max), in that order."""
+    return [
+        CounterexampleReport.build(n, k, gs_lower_bound(n, k), "gs-bound")
+        for n, k in search_cells(n_min, n_max, k_min, k_max)
+    ]
 
-    For each n in [n_min, n_max] and each feasible rank k in
-    [max(k_min, 1), min(k_max, n - 1)], in increasing (n, k) order.
-    """
-    reports = []
-    for n in range(n_min, n_max + 1):
-        for k in range(max(k_min, 1), min(k_max, n - 1) + 1):
-            reports.append(CounterexampleReport.build(n, k, gs_lower_bound(n, k), "gs-bound"))
-    return reports
+
+def search_cells(n_min: int, n_max: int, k_min: int, k_max: int) -> list[tuple[int, int]]:
+    """The (n, k) cells of a search grid, in increasing (n, k) order: each n
+    in [n_min, n_max] with each rank k in [max(k_min, 1), min(k_max, n - 1)]."""
+    return [
+        (n, k)
+        for n in range(max(n_min, 2), n_max + 1)
+        for k in range(max(k_min, 1), min(k_max, n - 1) + 1)
+    ]
 
 
 def rank2_poly(n: int) -> Polynomial:

@@ -11,6 +11,18 @@ inverting gives the closed form
 exact over Fractions.  For genuine Ehrhart polynomials every h*_i is a
 nonnegative integer and h*_0 = 1.
 
+`hstar` reads this form only for i <= d // 2.  The upper half comes from
+Popoviciu's reciprocity for polynomial sequences (Stanley, Enumerative
+Combinatorics I, ch. 4), which holds for every polynomial of degree <= d:
+sum_{t>=1} p(-t) z^t = (-1)^d z^(d+1) h*(1/z) / (1-z)^(d+1), so
+
+    (-1)^d h*_{d+1-s} = sum_{j=0}^{s-1} (-1)^j C(d+1, j) p(-(s - j))
+
+for s = 1, ..., d - d // 2.  Both halves need p only at the integers
+-H..H, H = d - d // 2, and p(i) and p(-i) come from one evaluation of
+its even and odd parts at i^2, so the evaluation takes about d^2 / 2
+integer multiply-adds and the two convolutions about d^2 / 4 products.
+
 Real-rootedness of a rational polynomial p is decided exactly with one
 Sturm chain of (p, p') over the integers: negated pseudo-remainders, each
 scaled by a positive integer and made primitive, so every sign is that of
@@ -23,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .ratpoly import Polynomial, RatLike, binomial, horner
@@ -31,18 +44,28 @@ from .ratpoly import Polynomial, RatLike, binomial, horner
 def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     """h*-vector of a degree-dim Ehrhart polynomial, length dim + 1.
 
-    The integer numerators of p are evaluated at 0, ..., dim, convolved
-    with the signed binomials as integers, and divided by p.den once per
-    entry.
+    The integer numerators N of p are evaluated at 0, +-1, ..., +-H for
+    H = dim - dim // 2: N(+-i) = E(i^2) +- i O(i^2) for the even part E and
+    odd part O of N.  The values at 0..dim // 2 give the lower half of h*
+    by the closed form, those at -1..-H the upper half by reciprocity (see
+    the module docstring); each half is an integer convolution with the
+    signed binomials, divided by p.den once per entry.
     """
     if p.degree != dim:
         raise ValueError("dimension mismatch")
-    scaled = [horner(p.nums, i) for i in range(dim + 1)]
-    signed = [binomial(dim + 1, j) * (-1) ** j for j in range(dim + 1)]
-    return [
-        Fraction(sum(signed[j] * scaled[i - j] for j in range(i + 1)), p.den)
-        for i in range(dim + 1)
-    ]
+    low, high = dim // 2, dim - dim // 2
+    even, odd = p.nums[0::2], p.nums[1::2]
+    at_pos, at_neg = [], []
+    for i in range(high + 1):
+        e, o = horner(even, i * i), i * horner(odd, i * i)
+        at_pos.append(e + o)
+        at_neg.append(e - o)
+    signed = [(-1) ** j * binomial(dim + 1, j) for j in range(high + 1)]
+    lower = [sum(map(mul, signed, at_pos[i::-1])) for i in range(low + 1)]
+    # (-1)^dim h*_{dim+1-s} = sum_{j<s} signed[j] N(-(s - j)), for s = high..1
+    sign = (-1) ** dim
+    upper = [sign * sum(map(mul, signed, at_neg[s:0:-1])) for s in range(high, 0, -1)]
+    return [Fraction(v, p.den) for v in lower + upper]
 
 
 def _primitive(nums: list[int]) -> list[int]:

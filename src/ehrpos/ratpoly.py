@@ -191,10 +191,13 @@ def horner(nums: Sequence[int], x: int) -> int:
     return acc
 
 
-def times_linear(nums: Sequence[int], c: int) -> list[int]:
-    """Integer coefficients of (t + c) * sum_m nums[m] t**m."""
-    # new[m] = c * old[m] + old[m - 1]
-    return [c * x + y for x, y in zip([*nums, 0], [0, *nums])]
+def times_linear(acc: list[int], c: int) -> None:
+    """Multiply the polynomial with integer coefficients acc by t + c, in place."""
+    # new[m] = c * old[m] + old[m - 1], top down so old[m - 1] is still unread
+    acc.append(0)
+    for m in range(len(acc) - 1, 0, -1):
+        acc[m] = acc[m - 1] + c * acc[m]
+    acc[0] *= c
 
 
 def binomial(n: int, k: int) -> int:
@@ -242,7 +245,7 @@ def binom_poly(a: int, b: int) -> Polynomial:
         raise ValueError("binom_poly needs b >= 0")
     nums = [1]
     for i in range(b):
-        nums = times_linear(nums, a - i)
+        times_linear(nums, a - i)
     return Polynomial._from_int_form(nums, math.factorial(b))
 
 
@@ -291,6 +294,6 @@ def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:
     scale = 1
     for j in range(d - 1, -1, -1):
         scale *= j + 1
-        acc = times_linear(acc, -j)
+        times_linear(acc, -j)
         acc[0] += diffs[j] * scale
     return Polynomial._from_int_form(acc, math.factorial(d) * den)

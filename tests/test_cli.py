@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from ehrpos import cli, codes, oracle
+from ehrpos import cli, codes, ehrhart, oracle
 from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_sparse, ehr_uniform
 from ehrpos.matroid import circuit_hyperplane_bound
 from ehrpos.ratpoly import Polynomial
@@ -387,6 +388,80 @@ def test_polynomial_n_budget_admits_the_cap(capsys) -> None:
     code, out = run_cli(capsys, "uniform", "--n", n, "--k", "1")
     assert code == 0
     assert len(out.split(", ")) == cli.POLY_MAX_N  # a simplex of dimension n - 1
+
+
+def _subcommands() -> set[str]:
+    actions = cli.build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return set(subparsers.choices)
+
+
+_BIG_N = str(cli.POLY_MAX_N + 1)
+
+# One oversized input per subcommand, with the kernels it must refuse
+# before; a subcommand without a budget has a string saying why.
+BUDGET_CASES: dict[str, tuple[list[str], list[tuple[object, str]]] | str] = {
+    "uniform": (["uniform", "--n", _BIG_N, "--k", "2"], [(cli, "ehr_uniform")]),
+    "minimal": (
+        ["minimal", "--n", _BIG_N, "--k", "2", "--shifted"],
+        [(cli, "ehr_minimal"), (cli, "ehr_minimal_shifted")],
+    ),
+    "sparse": (["sparse", "--n", _BIG_N, "--k", "2", "--lambda", "0"], [(ehrhart, "ehr_sparse")]),
+    "code": (["code", "--n", "40", "--k", "20"], [(codes, "weight_k_masks")]),
+    "bounds": (
+        ["bounds", "--n", str(cli.BOUNDS_MAX_N + 1), "--k", "2"],
+        [(cli, "lower_bound_quad"), (cli, "upper_bound_quad_uniform")],
+    ),
+    "search": (["search", "--n-range", "3:123"], [(cli, "search_counterexamples")]),
+    "oracle": (
+        ["oracle", "--matroid-file", "{matroid_file}", "--t-max", str(oracle.ORACLE_MAX_T + 1)],
+        [(cli, "oracle_count"), (cli, "ehr_sparse")],
+    ),
+    "hstar": (
+        ["hstar", "--n", _BIG_N, "--k", "2", "--lambda", "0"],
+        [(cli, "ehr_sparse"), (cli, "hstar")],
+    ),
+    "verify-paper": "takes no sized input: it runs the fixed list of criteria",
+}
+
+
+def test_budget_table_names_every_subcommand() -> None:
+    assert set(BUDGET_CASES) == _subcommands()
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in BUDGET_CASES.items() if isinstance(v, tuple)))
+def test_oversized_input_is_exit_2_before_the_kernel(
+    name: str, tmp_path, monkeypatch, capsys
+) -> None:
+    argv, kernels = BUDGET_CASES[name]
+
+    def refuse(*args):
+        raise AssertionError(f"{name}: kernel ran past the budget")
+
+    for module, attr in kernels:
+        monkeypatch.setattr(module, attr, refuse)
+    matroid_file = tmp_path / "m.txt"
+    matroid_file.write_text("5 2\n1 2\n3 4\n", encoding="ascii")
+    code = cli.main([str(matroid_file) if a == "{matroid_file}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large" in captured.err
+
+
+def test_search_work_budget_edge(monkeypatch, capsys) -> None:
+    # 3:122 is the largest grid from n = 3 with the default ranks; the cells
+    # are not built here
+    monkeypatch.setattr(cli, "search_counterexamples", lambda *args: [])
+    assert run_cli(capsys, "search", "--n-range", "3:122") == (0, "")
+    code = cli.main(["search", "--n-range", "3:123"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search grid too large: 5732 cells, 100319166797 work units "
+        f"(max {cli.SEARCH_MAX_WORK})\n"
+    )
 
 
 def test_oracle_subcommand(tmp_path, capsys) -> None:

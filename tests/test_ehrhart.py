@@ -25,6 +25,7 @@ from ehrpos.ehrhart import (
     lower_bound_quad,
     quad_coeff_minimal_shifted,
     rank2_poly,
+    search_cells,
     search_counterexamples,
     upper_bound_quad_uniform,
     verify_rank2_inequalities,
@@ -425,6 +426,8 @@ def test_search_clamps_rank_range() -> None:
     assert [(r.n, r.k) for r in reports] == [
         (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3), (5, 4),
     ]
+    # no n below 2 has a rank, so a far lower bound costs no loop over it
+    assert search_cells(-(10**12), 5, 2, 2) == [(3, 2), (4, 2), (5, 2)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -102,12 +102,28 @@ def _ref_hstar(p: Polynomial, dim: int) -> list[Fraction]:
 
 @given(
     st.lists(
-        st.fractions(min_value=-100, max_value=100, max_denominator=30), min_size=1, max_size=8
+        st.fractions(min_value=-100, max_value=100, max_denominator=30), min_size=1, max_size=16
     ).filter(lambda cs: cs[-1] != 0)
 )
 def test_hstar_matches_fraction_reference(coeffs: list[Fraction]) -> None:
     p = Polynomial(coeffs)
     assert hstar(p, len(coeffs) - 1) == _ref_hstar(p, len(coeffs) - 1)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Polynomial([5]),
+        Polynomial([Fraction(1, 3), 2]),
+        Polynomial([Fraction(-3, 7), 5, Fraction(-1, 2)]),
+        rank2_poly(60),
+        rank2_poly(61),
+    ],
+    ids=["degree-0", "degree-1", "degree-2", "rank2-60", "rank2-61"],
+)
+def test_hstar_matches_fraction_reference_at_both_parities(p: Polynomial) -> None:
+    # odd and even degrees split h* into halves of different lengths
+    assert hstar(p, int(p.degree)) == _ref_hstar(p, int(p.degree))
 
 
 def test_hstar_matches_fraction_reference_on_ehrhart_polynomials() -> None:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ehrpos import ratpoly
@@ -17,6 +17,7 @@ from ehrpos.ratpoly import (
     harmonic2,
     interpolate_at_naturals,
     poly_shift,
+    times_linear,
 )
 
 fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3)
@@ -205,6 +206,20 @@ def _ref_interpolate_at_naturals(values: list[Fraction]) -> list[Fraction]:
         arr = [y - x for x, y in zip(arr, arr[1:])]
         basis = [c / (j + 1) for c in _ref_mul(basis, [Fraction(-j), Fraction(1)])]
     return out
+
+
+def _ref_times_linear(nums: list[int], c: int) -> list[int]:
+    # a copying form: new[m] = c * old[m] + old[m - 1]
+    return [c * x + y for x, y in zip([*nums, 0], [0, *nums])]
+
+
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12), st.integers(-50, 50))
+@example([3, -1, 2], 0)
+@example([1, 0, -4], -7)
+def test_times_linear_in_place_matches_copying_form(nums: list[int], c: int) -> None:
+    acc = list(nums)
+    assert times_linear(acc, c) is None
+    assert acc == _ref_times_linear(nums, c)
 
 
 def _assert_int_form(p: Polynomial) -> None:
