@@ -1,11 +1,11 @@
 """Lattice-point oracle for desk-scale certification.
 
 Counts integer points of dilated basis polytopes exactly, from the facet
-description alone, by a dynamic program over the coordinates that merges
-prefixes with the same remaining sum and the same circuit-hyperplane
-slacks.  The last two coordinates are counted in closed form: their
-completions of a prefix form one interval.  It uses no formula of
-`ehrpos.ehrhart` and builds no polynomial:
+description alone, by a dynamic program over the atoms of the matroid
+(classes of coordinates that lie in the same circuit-hyperplanes).  Its
+states are the circuit-hyperplane slacks, and each state's value packs
+the counts of every remaining sum into the digits of one int.  It uses no
+formula of `ehrpos.ehrhart` and builds no polynomial:
 the test suite and `verify` compare its counts with the formula's values,
 one dilation at a time.  Budgets keep instances small: this module is a
 certifier, not a production counter.
@@ -19,28 +19,50 @@ from .codes import weight_k_masks
 from .errors import BudgetExceededError
 from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 
+# Counts at n = ORACLE_MAX_N, t = ORACLE_MAX_T take about 1.8 s for the
+# 26 circuit-hyperplanes of gs_best_class(10, 5) and about 0.01 s for its
+# interior count, on a 2-core machine.  Time grows with the number of
+# circuit-hyperplanes, which these budgets do not bound.
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
 
 
+def _compositions(g: int, lo: int, hi: int) -> list[int]:
+    """ways[s] for s in 0..g*hi: the number of (y_1..y_g) in [lo, hi]^g
+    with sum s (0 below g*lo)."""
+    ways = [1]
+    for _ in range(g):
+        nxt = [0] * (len(ways) + hi)
+        for s, w in enumerate(ways):
+            for x in range(s + lo, s + hi + 1):
+                nxt[x] += w
+        ways = nxt
+    return ways
+
+
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
-    """Exact count by a dynamic program over the coordinates x_0..x_{n-3},
-    closed by a count of the last two, x_p and x_q (p = n-2, q = n-1).
+    """Exact count by a dynamic program over the atoms of m: the classes of
+    coordinates that lie in the same circuit-hyperplanes.  Coordinates of
+    one atom are interchangeable, so an atom of g coordinates places one
+    sum s in [g*lo, g*hi], in ways[s] = _compositions(g, lo, hi)[s] ways.
 
-    A layer maps a state to the number of prefixes x_0..x_{i-1} that reach
-    it.  The state is the remaining sum and, for each circuit-hyperplane
-    H, its slack: cap minus the sum of the placed x over H.  A slack above
-    hi times the number of H's coordinates still to come can never bind,
-    so it is stored as that product; it drops to 0 once H's last
-    coordinate is placed, and prefixes that no later coordinate can tell
-    apart merge into one state.
+    A layer maps a state to a packed value.  The state is, for each
+    circuit-hyperplane H, its slack: cap minus the sum placed over H.  A
+    slack above hi times the number of H's coordinates still to come can
+    never bind, so it is stored as that product; it drops to 0 once H's
+    last atom is placed, and prefixes that no later atom can tell apart
+    merge into one state.  The value is one int whose digit r, B = width
+    = ((hi - lo + 1)**n).bit_length() + 1 bits wide, counts the prefixes in
+    that state whose remaining sum is r (k*t at the start).  Placing s
+    shifts the value down by s digits and scales it by ways[s]; digits of
+    a negative remaining sum fall off the bottom, and a zero shift ends the
+    loop over s.  The last atom reads its sums straight from the digits.
 
-    A state (rem, slacks) at p has the completions (a, rem - a) with a in
-    one interval: lo <= a, rem - a <= hi; a <= s_H for each H holding p
-    but not q; rem - a <= s_H for each H holding q but not p; and none at
-    all if rem > s_H for an H holding both.  The stored slacks are exact
-    there, because each clamp only caps a bound that hi already imposes.
-    Callers guarantee n >= 2.
+    No digit ever carries: a digit of any value built here counts distinct
+    assignments of the coordinates placed so far (different s, or states
+    merged by a clamp, never yield the same assignment twice), so it is at
+    most (hi - lo + 1)**n < 2**(B - 1).  Callers guarantee n >= 1, so
+    there is a last atom.
     """
     n, k = m.n, m.k
     lo, hi = (1, t - 1) if interior else (0, t)
@@ -48,48 +70,46 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     if hi < lo:
         return 0
     chs = m.circuit_hyperplanes
-    layer = {(k * t,) + tuple(min(cap, hi * h.bit_count()) for h in chs): 1}
-    for i in range(n - 2):
-        left = n - i - 1
-        # (state position, slack ceiling after x_i) of each H containing i
-        cover = [(j + 1, hi * (h >> (i + 1)).bit_count()) for j, h in enumerate(chs) if h >> i & 1]
+    sizes: dict[tuple[int, ...], int] = {}  # atom (indices of its H) -> coordinates
+    for i in range(n):
+        key = tuple(j for j, h in enumerate(chs) if h >> i & 1)
+        sizes[key] = sizes.get(key, 0) + 1
+    atoms = list(sizes.items())
+    width = ((hi - lo + 1) ** n).bit_length() + 1
+    ceiling = [hi * h.bit_count() for h in chs]  # hi * coordinates of H still to place
+    layer = {tuple(min(cap, c) for c in ceiling): 1 << (k * t * width)}
+    for cover, g in atoms[:-1]:
+        ways = _compositions(g, lo, hi)
+        for j in cover:
+            ceiling[j] -= hi * g
         nxt: dict[tuple[int, ...], int] = {}
-        for state, ways in layer.items():
-            rem = state[0]
-            top = min(hi, rem - lo * left)
-            for j, _ in cover:
-                if state[j] < top:  # sum over H <= cap, i.e. x_i <= its slack
+        for state, vec in layer.items():
+            top = g * hi
+            for j in cover:
+                if state[j] < top:  # sum over H <= cap, i.e. s <= its slack
                     top = state[j]
-            for x in range(max(lo, rem - hi * left), top + 1):
-                new = list(state)
-                new[0] = rem - x
-                for j, ceiling in cover:
-                    slack = new[j] - x
-                    new[j] = slack if slack < ceiling else ceiling
-                key = tuple(new)
-                nxt[key] = nxt.get(key, 0) + ways
-        layer = nxt
-    # state positions of the H holding only p (bits q p = 01), only q (10), and both (11)
-    p_only, q_only, both = (
-        [j + 1 for j, h in enumerate(chs) if h >> (n - 2) == bits] for bits in (1, 2, 3)
-    )
-    total = 0
-    for state, ways in layer.items():
-        rem = state[0]
-        low = rem - hi if rem - hi > lo else lo  # builtin max and min cost more here
-        high = rem - lo if rem - lo < hi else hi
-        for j in p_only:
-            if state[j] < high:
-                high = state[j]
-        for j in q_only:
-            if rem - state[j] > low:
-                low = rem - state[j]
-        if low <= high:
-            for j in both:
-                if state[j] < rem:
+            for s in range(g * lo, top + 1):
+                part = vec >> (s * width)
+                if not part:
                     break
-            else:
-                total += ways * (high - low + 1)
+                new = list(state)
+                for j in cover:
+                    slack = state[j] - s
+                    new[j] = slack if slack < ceiling[j] else ceiling[j]
+                key = tuple(new)
+                nxt[key] = nxt.get(key, 0) + part * ways[s]
+        layer = nxt
+    cover, g = atoms[-1]
+    ways = _compositions(g, lo, hi)
+    mask = (1 << width) - 1
+    total = 0
+    for state, vec in layer.items():
+        top = g * hi
+        for j in cover:
+            if state[j] < top:
+                top = state[j]
+        for s in range(g * lo, top + 1):
+            total += ways[s] * (vec >> (s * width) & mask)
     return total
 
 

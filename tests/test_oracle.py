@@ -170,7 +170,10 @@ def test_counts_match_dfs_on_every_small_matroid() -> None:
                     assert oracle_interior_count(m, t) == dfs_count(m, t, interior=True), (m, t)
 
 
-# the closed-form tail counts x_p, x_q with p = n - 2, q = n - 1 (bits p and q)
+# p = n - 2 and q = n - 1 in the ids.  Each case has at most two atoms, H's
+# coordinates and the free ones, and the last atom is read from the packed
+# digits: H-holds-both and n2-H-is-q place the free atom first and read H's
+# last, the others read the free atom last, and n2-uniform is one atom.
 @pytest.mark.parametrize(
     ("n", "chs", "closed", "interior"),
     [
@@ -189,6 +192,45 @@ def test_tail_rules(n: int, chs: list[int], closed: list[int], interior: list[in
     assert [oracle_interior_count(m, t) for t in range(5)] == interior
     for t in range(5):
         assert_counts_match_references(m, t)
+
+
+def test_compositions_match_product() -> None:
+    for g in range(1, 5):
+        for t in range(ORACLE_MAX_T + 1):
+            for lo, hi in ((0, t), (1, t - 1)):
+                if hi < lo:
+                    continue
+                expected = [0] * (g * hi + 1)
+                for ys in product(range(lo, hi + 1), repeat=g):
+                    expected[sum(ys)] += 1
+                assert oracle._compositions(g, lo, hi) == expected, (g, lo, hi)
+
+
+@pytest.mark.parametrize(
+    ("chs", "atoms"),
+    [
+        ([], 1),
+        ([0b000111, 0b111000], 2),  # complementary: a degenerate polytope
+        ([0b000111, 0b011100, 0b110001], 6),  # a triangle: each pair meets once
+    ],
+    ids=["lambda0-one-atom", "two-atoms-cover-all", "triangle-six-atoms"],
+)
+def test_atom_shapes_match_dfs(chs: list[int], atoms: int) -> None:
+    m = validate(6, 3, chs)
+    assert len({tuple(h >> i & 1 for h in chs) for i in range(6)}) == atoms
+    for t in range(ORACLE_MAX_T + 1):
+        assert oracle_count(m, t) == dfs_count(m, t, interior=False), t
+        assert oracle_interior_count(m, t) == dfs_count(m, t, interior=True), t
+
+
+def test_wide_digits_many_atoms() -> None:
+    # eight single-coordinate atoms at t = 6: 24-bit digits, k t + 1 = 25 of them
+    m = gs_best_class(8, 4).to_matroid()
+    assert m.lam == 10
+    p = ehr_sparse(8, 4, 10)
+    assert p.degree == 7
+    assert oracle_count(m, ORACLE_MAX_T) == p(ORACLE_MAX_T)
+    assert oracle_interior_count(m, ORACLE_MAX_T) == -p(-ORACLE_MAX_T)
 
 
 def test_interior_is_empty_at_t_1() -> None:
