@@ -8,20 +8,27 @@ of minimum distance >= 4 and so a valid circuit-hyperplane family, which
 `to_matroid` checks again like any other.  By pigeonhole the largest class
 has at least binomial(n, k) / n words.
 
-The partition lists every word, so it refuses (n, k) with more than
-`WORD_BUDGET` words before enumerating any.
+The partition meets in the middle: it tabulates the masks of the low
+half of the positions and of the high half by (weight, residue), counts
+each class from the products of matching table sizes, and joins only the
+chosen class's words.  It refuses (n, k) with more than `WORD_BUDGET`
+words, and then n above `MAX_GROUND_SET`, before it builds any table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .errors import BudgetExceededError
-from .matroid import SparsePavingMatroid, elements_of, validate
+from .matroid import MAX_GROUND_SET, SparsePavingMatroid, elements_of, validate
 from .ratpoly import binomial
 
 WORD_BUDGET = 2_000_000
+
+# table[j][r]: the masks of weight j whose position sum is r mod n, ascending
+_Table = dict[int, dict[int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,6 @@ def weight_k_masks(n: int, k: int) -> Iterator[int]:
         v = (((ripple ^ v) >> 2) // low) | ripple
 
 
-# _BYTE_SUMS[b] = sum of the bit positions of the byte b
-_BYTE_SUMS = tuple(sum(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
 def gs_residue(word: int, n: int) -> int:
     """Residue of a word: sum of (i - 1) over its elements i, mod n."""
     if word >> n:
@@ -69,7 +72,27 @@ def gs_residue(word: int, n: int) -> int:
     return (sum(elements_of(word)) - word.bit_count()) % n
 
 
-def _residue_classes(n: int, k: int) -> list[list[int]]:
+def _half_table(positions: range, weights: range, n: int) -> _Table:
+    """The masks on `positions` with a weight in `weights`, as a _Table."""
+    table: _Table = {}
+    bits = [1 << p for p in positions]
+    for j in weights:
+        by_residue = table[j] = {}
+        # c holds offsets into `positions`, largest first, so the masks come
+        # in descending order and each position sum is sum(c) + j * start
+        for c in combinations(range(len(bits) - 1, -1, -1), j):
+            mask = sum(map(bits.__getitem__, c))
+            by_residue.setdefault((sum(c) + j * positions.start) % n, []).append(mask)
+        for masks in by_residue.values():
+            masks.reverse()
+    return table
+
+
+def _half_tables(n: int, k: int) -> tuple[_Table, _Table, list[int]]:
+    """The low half's table (positions 0..h-1, h = n // 2), the high
+    half's, and the n class sizes.  Each half keeps only the weights the
+    other half can complement to k, so neither holds more than
+    binomial(n, k) masks."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got (n, k) = ({n}, {k})")
     if n < 1:
@@ -79,18 +102,25 @@ def _residue_classes(n: int, k: int) -> list[list[int]]:
         raise BudgetExceededError(
             f"class enumeration too large: binomial({n},{k}) = {total} > {WORD_BUDGET}"
         )
-    classes: list[list[int]] = [[] for _ in range(n)]
-    # ascending words come in runs that share everything above the low
-    # byte: the residue of that part is computed once per run, and the low
-    # byte's position sum is looked up
-    high = -1
-    base = 0
-    for w in weight_k_masks(n, k):
-        if w >> 8 != high:
-            high = w >> 8
-            base = gs_residue(high << 8, n)
-        classes[(base + _BYTE_SUMS[w & 255]) % n].append(w)
-    return classes
+    if n > MAX_GROUND_SET:
+        raise ValueError(f"ground set size n={n} outside 1..{MAX_GROUND_SET}")
+    h = n // 2
+    low = _half_table(range(h), range(max(0, k - (n - h)), min(k, h) + 1), n)
+    high = _half_table(range(h, n), range(max(0, k - h), min(k, n - h) + 1), n)
+    sizes = [0] * n
+    for j, by_r1 in high.items():
+        for r1, highs in by_r1.items():
+            for r2, lows in low[k - j].items():
+                sizes[(r1 + r2) % n] += len(highs) * len(lows)
+    return low, high, sizes
+
+
+def _join(low: _Table, high: _Table, n: int, k: int, r: int) -> tuple[int, ...]:
+    """The weight-k words of residue r, ascending.  Every high bit lies
+    above every low bit, so the high parts in ascending order, each with
+    its matching low parts in ascending order, give ascending words."""
+    highs = sorted((m, j, r1) for j, by_r1 in high.items() for r1, ms in by_r1.items() for m in ms)
+    return tuple(m | w for m, j, r1 in highs for w in low[k - j].get((r - r1) % n, ()))
 
 
 def gs_classes(n: int, k: int) -> list[int]:
@@ -99,16 +129,18 @@ def gs_classes(n: int, k: int) -> list[int]:
     The sizes sum to binomial(n, k) and the largest is at least
     ceil(binomial(n, k) / n).
     """
-    return [len(c) for c in _residue_classes(n, k)]
+    return _half_tables(n, k)[2]
 
 
 def gs_partition(n: int, k: int) -> tuple[list[int], ConstantWeightCode]:
     """Class sizes (as gs_classes) and a class of maximum size, ties broken
-    by smallest residue, from one pass over the words."""
-    classes = _residue_classes(n, k)
-    best = max(range(n), key=lambda i: (len(classes[i]), -i))
-    code = ConstantWeightCode(n=n, k=k, words=tuple(classes[best]), class_index=best)
-    return [len(c) for c in classes], code
+    by smallest residue.  Only that class's words are built."""
+    low, high, sizes = _half_tables(n, k)
+    best = max(range(n), key=lambda r: (sizes[r], -r))
+    words = _join(low, high, n, k, best)
+    if len(words) != sizes[best]:
+        raise ArithmeticError(f"class {best} joined {len(words)} words, its size is {sizes[best]}")
+    return sizes, ConstantWeightCode(n=n, k=k, words=words, class_index=best)
 
 
 def gs_best_class(n: int, k: int) -> ConstantWeightCode:

@@ -242,9 +242,16 @@ def matroid_to_text(m: SparsePavingMatroid) -> str:
     First line "n k", then one circuit-hyperplane per line as sorted
     1-based element indices separated by spaces.
     """
+    # (shift, table): table[b] is the elements of a mask whose bits
+    # shift..shift+7 read b, each followed by a space
+    tables = []
+    for q in range(0, m.n, 8):
+        names = [f"{e} " for e in range(q + 1, min(q + 8, m.n) + 1)]
+        table = ["".join(s for p, s in enumerate(names) if b >> p & 1) for b in range(1 << len(names))]
+        tables.append((q, table))
     lines = [f"{m.n} {m.k}"]
     for h in m.circuit_hyperplanes:
-        lines.append(" ".join(str(e) for e in elements_of(h)))
+        lines.append("".join([table[h >> q & 255] for q, table in tables])[:-1])
     return "\n".join(lines) + "\n"
 
 

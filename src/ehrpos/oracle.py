@@ -19,10 +19,13 @@ from .codes import weight_k_masks
 from .errors import BudgetExceededError
 from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 
-# Counts at n = ORACLE_MAX_N, t = ORACLE_MAX_T take about 1.8 s for the
-# 26 circuit-hyperplanes of gs_best_class(10, 5) and about 0.01 s for its
-# interior count, on a 2-core machine.  Time grows with the number of
-# circuit-hyperplanes, which these budgets do not bound.
+# Count time grows with the number of circuit-hyperplanes, which these
+# budgets do not bound.  At n = ORACLE_MAX_N, t = ORACLE_MAX_T, on a
+# 2-core machine, the closed count takes about 1.6 s for the 26 of
+# gs_best_class(10, 5) and about 3.3 s for a (10, 5) family of 36, the
+# most any valid input at n = 10 has (A(10, 4, 5) = 36); the interior
+# count takes about 0.01 s, and `ehrpos oracle --t-max 6` on that family
+# about 4.8 s in all.
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
 

@@ -407,7 +407,7 @@ BUDGET_CASES: dict[str, tuple[list[str], list[tuple[object, str]]] | str] = {
         [(cli, "ehr_minimal"), (cli, "ehr_minimal_shifted")],
     ),
     "sparse": (["sparse", "--n", _BIG_N, "--k", "2", "--lambda", "0"], [(ehrhart, "ehr_sparse")]),
-    "code": (["code", "--n", "40", "--k", "20"], [(codes, "weight_k_masks")]),
+    "code": (["code", "--n", "40", "--k", "20"], [(codes, "_half_table")]),
     "bounds": (
         ["bounds", "--n", str(cli.BOUNDS_MAX_N + 1), "--k", "2"],
         [(cli, "lower_bound_quad"), (cli, "upper_bound_quad_uniform")],
@@ -583,20 +583,45 @@ def test_main_does_not_leak_arguments(tmp_path, capsys, monkeypatch) -> None:
 
 
 def test_code_enumerates_each_word_once(capsys, monkeypatch) -> None:
-    seen = []
-    masks = codes.weight_k_masks
+    tabulated: list[int] = []
+    joined: list[tuple[int, ...]] = []
+    half_table, join = codes._half_table, codes._join
 
-    def counting(n: int, k: int):
-        for w in masks(n, k):
-            seen.append(w)
-            yield w
+    def counting_table(*args):
+        table = half_table(*args)
+        tabulated.extend(m for by_r in table.values() for ms in by_r.values() for m in ms)
+        return table
 
-    monkeypatch.setattr(codes, "weight_k_masks", counting)
+    def counting_join(*args):
+        joined.append(join(*args))
+        return joined[-1]
+
+    monkeypatch.setattr(codes, "_half_table", counting_table)
+    monkeypatch.setattr(codes, "_join", counting_join)
     code, out = run_cli(capsys, "code", "--n", "10", "--k", "3", "--format", "json")
     assert code == 0
-    assert len(seen) == 120  # C(10, 3)
+    # each half-mask once: weights 0..3 on elements 1..5, and on 6..10
+    half = [m for m in range(32) if m.bit_count() <= 3]
+    assert sorted(tabulated) == sorted(half + [m << 5 for m in half])
     d = json.loads(out)
+    assert sum(d["class_sizes"]) == 120  # C(10, 3)
     assert d["class_sizes"][d["chosen_index"]] == max(d["class_sizes"])
+    # only the chosen class is joined, each of its words once
+    assert len(joined) == 1
+    assert len(set(joined[0])) == len(joined[0]) == d["class_sizes"][d["chosen_index"]]
+
+
+@pytest.mark.parametrize("n", [65, 20000])
+def test_code_refuses_ground_set_before_any_table(n: int, capsys, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a half table was built")
+
+    monkeypatch.setattr(codes, "_half_table", refuse)
+    code = cli.main(["code", "--n", str(n), "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ground set size n={n} outside 1..64\n"
 
 
 # sha256 of stdout, each recorded before a change that had to keep it
@@ -645,6 +670,11 @@ GOLDEN_STDOUT = {
     "code": (
         ["code", "--n", "10", "--k", "4"],
         "a7a8ccd98bf0696fe5c988d1dcf0f422ad150a935aa4b8650026190495ec4eef",
+    ),
+    # recorded before the partition met in the middle: the whole class
+    "code-19-11": (
+        ["code", "--n", "19", "--k", "11"],
+        "89915743574be0cb9053d4568d5adb55f0d10931e2e9e152f08230a076e0505d",
     ),
     "bounds": (
         ["bounds", "--n", "20", "--k", "9"],
@@ -766,6 +796,18 @@ GOLDEN_MATROID = "7 3\n1 2 3\n4 5 6\n"
 
 # sha256 of the file that `code --n 10 --k 4 --output {output_file}` writes
 GOLDEN_CODE_FILE = "c12a7980efdaf242957c02dd0eee50d85377ba8ccc65b5a12d59e1704346339d"
+
+
+# sha256 of the file that `code --n 20 --k 9 --output FILE` writes, recorded
+# before the partition met in the middle and the file went through byte tables
+GOLDEN_CODE_FILE_20_9 = "a06cd4fb0f798bc50e14d7d01d614788ccb0ea082b0a1200741bb686c3f5d48e"
+
+
+def test_code_file_20_9(tmp_path, capsys) -> None:
+    path = tmp_path / "m.txt"
+    code, _ = run_cli(capsys, "code", "--n", "20", "--k", "9", "--output", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CODE_FILE_20_9
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from ehrpos import codes
 from ehrpos.codes import (
     ConstantWeightCode,
-    _residue_classes,
+    _half_tables,
+    _join,
     gs_best_class,
     gs_classes,
     gs_lower_bound,
@@ -62,14 +63,29 @@ def test_gs_residue_matches_bit_walk(case: tuple[int, int]) -> None:
         gs_residue(word | 1 << n, n)
 
 
+# every (n, k) up to n = 14, and the paper's cells
+REFERENCE_CELLS = [(n, k) for n in range(1, 15) for k in range(n + 1)] + [
+    (18, 9), (19, 8), (19, 11), (20, 9),
+]
+
+
 def test_residue_classes_match_reference_partition() -> None:
-    for n in range(1, 13):
-        for k in range(n + 1):
-            assert _residue_classes(n, k) == _ref_classes(n, k), (n, k)
-    by_residue: list[list[int]] = [[] for _ in range(20)]
-    for w in weight_k_masks(20, 9):
-        by_residue[_ref_residue(w, 20)].append(w)
-    assert _residue_classes(20, 9) == by_residue
+    for n, k in REFERENCE_CELLS:
+        ref = _ref_classes(n, k)
+        low, high, sizes = _half_tables(n, k)
+        assert sizes == [len(c) for c in ref], (n, k)
+        assert [list(_join(low, high, n, k, r)) for r in range(n)] == ref, (n, k)
+        sizes, code = gs_partition(n, k)
+        best = max(range(n), key=lambda r: (len(ref[r]), -r))
+        assert code.class_index == best, (n, k)
+        assert list(code.words) == ref[best], (n, k)
+
+
+def test_partition_refuses_a_join_short_of_the_class_size(monkeypatch) -> None:
+    join = codes._join
+    monkeypatch.setattr(codes, "_join", lambda *args: join(*args)[1:])
+    with pytest.raises(ArithmeticError, match="class 1 joined 1 words, its size is 2"):
+        gs_partition(4, 2)
 
 
 def test_gs_classes_4_2() -> None:

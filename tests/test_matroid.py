@@ -210,6 +210,21 @@ def test_text_round_trip() -> None:
     assert matroid_from_text("4 2\n") == validate(4, 2, [])
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 63, 64])
+def test_text_matches_per_element_join(n: int) -> None:
+    # every run of k consecutive elements, so each byte boundary is crossed
+    # at each offset, plus the two ends of the ground set for k >= 2
+    for k in range(n + 1):
+        masks = [((1 << k) - 1) << a for a in range(n - k + 1)]
+        if k >= 2:
+            masks.append(1 | ((1 << (k - 1)) - 1) << (n - k + 1))
+        m = SparsePavingMatroid(n, k, tuple(masks))
+        lines = [f"{n} {k}"] + [
+            " ".join(str(i + 1) for i in range(n) if h >> i & 1) for h in m.circuit_hyperplanes
+        ]
+        assert matroid_to_text(m) == "\n".join(lines) + "\n", (n, k)
+
+
 @settings(max_examples=50)
 @given(st.data())
 def test_text_round_trip_random(data: st.DataObject) -> None:
