@@ -40,13 +40,12 @@ from .errors import BudgetExceededError
 from .hstar import hstar, is_real_rooted
 from .matroid import circuit_hyperplane_bound, matroid_from_text, matroid_to_text
 from .oracle import check_oracle_instance, oracle_count
-from .ratpoly import binomial
 from .verify import iter_results
 
-# `hstar --check-real-rooted` refuses h*-polynomials of higher degree.  The
-# degree does not bound the coefficient size, so it does not bound the time:
-# (80, 40) is degree 79 and still takes 10-11 s as a whole process on a
-# 2-core machine.
+# `hstar --check-real-rooted` refuses n when n - 1, the largest degree the
+# h*-polynomial can have, is above this.  The degree does not bound the
+# coefficient size, so it does not bound the time: (80, 40) is degree 79
+# and still takes 10-11 s as a whole process on a 2-core machine.
 REAL_ROOTED_MAX_DEGREE = 100
 # `uniform`, `minimal`, `sparse --lambda`, `hstar` and `search` (at the top
 # of --n-range) refuse larger n.  The cost grows about as n^3.4; at n = 400
@@ -335,34 +334,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 3 if mismatches else 0
 
 
-def _has_full_degree(n: int, k: int, lam: int) -> bool:
-    """True when ehr_sparse(n, k, lam) exists and has degree n - 1, decided
-    without the build: (n-1)! [t^{n-1}] is the Eulerian number A(n-1, k-1)
-    = sum_{i<k} (-1)^i C(n, i) (k-i)^{n-1} of ehr_uniform less lam C(n-2, k-1)
-    of ehr_minimal_shifted."""
-    if not (0 < k < n and 0 <= lam <= circuit_hyperplane_bound(n, k)):
-        return False  # left to the error ehr_sparse raises
-    eulerian = sum((-1) ** i * binomial(n, i) * (k - i) ** (n - 1) for i in range(k))
-    return eulerian != lam * binomial(n - 2, k - 1)
-
-
-def _check_real_rooted_degree(dim: int) -> None:
-    if dim > REAL_ROOTED_MAX_DEGREE:
-        raise BudgetExceededError(
-            f"real-rootedness check too large: degree {dim} (max {REAL_ROOTED_MAX_DEGREE})"
-        )
-
-
 def _cmd_hstar(args: argparse.Namespace) -> int:
     _check_poly_n(args.n)
-    if args.check_real_rooted and _has_full_degree(args.n, args.k, args.lam):
-        # refuse before the build, which dominates a refusal at large n
-        _check_real_rooted_degree(args.n - 1)
+    # refused from the input alone, before the build: the degree is at most n - 1
+    if args.check_real_rooted and args.n - 1 > REAL_ROOTED_MAX_DEGREE:
+        raise BudgetExceededError(
+            f"real-rootedness check too large: n = {args.n}, degree up to {args.n - 1} "
+            f"(max {REAL_ROOTED_MAX_DEGREE})"
+        )
     p = ehr_sparse(args.n, args.k, args.lam)
-    dim = int(p.degree)
-    if args.check_real_rooted:
-        _check_real_rooted_degree(dim)
-    h = hstar(p, dim)
+    h = hstar(p, p.degree)
     rooted = is_real_rooted(h) if args.check_real_rooted else None
     record = {
         "n": args.n,

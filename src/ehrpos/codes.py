@@ -27,7 +27,7 @@ from .ratpoly import binomial
 
 WORD_BUDGET = 2_000_000
 
-# table[j][r]: the masks of weight j whose position sum is r mod n, ascending
+# table[j][r]: the masks of weight j whose position sum is r mod n
 _Table = dict[int, dict[int, list[int]]]
 
 
@@ -78,13 +78,10 @@ def _half_table(positions: range, weights: range, n: int) -> _Table:
     bits = [1 << p for p in positions]
     for j in weights:
         by_residue = table[j] = {}
-        # c holds offsets into `positions`, largest first, so the masks come
-        # in descending order and each position sum is sum(c) + j * start
-        for c in combinations(range(len(bits) - 1, -1, -1), j):
+        # c holds offsets into `positions`: each position sum is sum(c) + j * start
+        for c in combinations(range(len(bits)), j):
             mask = sum(map(bits.__getitem__, c))
             by_residue.setdefault((sum(c) + j * positions.start) % n, []).append(mask)
-        for masks in by_residue.values():
-            masks.reverse()
     return table
 
 
@@ -116,11 +113,10 @@ def _half_tables(n: int, k: int) -> tuple[_Table, _Table, list[int]]:
 
 
 def _join(low: _Table, high: _Table, n: int, k: int, r: int) -> tuple[int, ...]:
-    """The weight-k words of residue r, ascending.  Every high bit lies
-    above every low bit, so the high parts in ascending order, each with
-    its matching low parts in ascending order, give ascending words."""
-    highs = sorted((m, j, r1) for j, by_r1 in high.items() for r1, ms in by_r1.items() for m in ms)
-    return tuple(m | w for m, j, r1 in highs for w in low[k - j].get((r - r1) % n, ()))
+    """The weight-k words of residue r, ascending: each high part joined
+    with every low part that complements it to weight k and residue r."""
+    highs = ((m, j, r1) for j, by_r1 in high.items() for r1, ms in by_r1.items() for m in ms)
+    return tuple(sorted(m | w for m, j, r1 in highs for w in low[k - j].get((r - r1) % n, ())))
 
 
 def gs_classes(n: int, k: int) -> list[int]:

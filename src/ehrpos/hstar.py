@@ -51,7 +51,7 @@ def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     the module docstring); each half is an integer convolution with the
     signed binomials, divided by p.den once per entry.
     """
-    if p.degree != dim:
+    if dim < 0 or p.degree != dim:
         raise ValueError("dimension mismatch")
     low, high = dim // 2, dim - dim // 2
     even, odd = p.nums[0::2], p.nums[1::2]

@@ -42,6 +42,8 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
 
 def elements_of(mask: int) -> list[int]:
     """Sorted 1-based element indices of a subset mask."""
+    if mask < 0:
+        raise ValueError(f"subset mask must be nonnegative, got {mask}")
     out = []
     i = 1
     while mask:
@@ -181,7 +183,8 @@ class LinearConstraint:
     """One constraint of the basis polytope at dilation t.
 
     The left-hand side is sum of x_i over the elements of `mask`; the
-    right-hand side is rhs_coeff * t.  rel is "eq", "le" or "ge".
+    right-hand side is rhs_coeff * t.  rel is "eq", "le" or "ge"; any other
+    raises ValueError when the constraint is evaluated.
     """
 
     mask: int
@@ -206,7 +209,9 @@ class LinearConstraint:
             return lhs == rhs
         if self.rel == "le":
             return lhs <= rhs
-        return lhs >= rhs
+        if self.rel == "ge":
+            return lhs >= rhs
+        raise ValueError(f"unknown relation {self.rel!r}")
 
     def holds_strict(self, x: tuple[int, ...], t: int) -> bool:
         """Strict version for interior tests; the equality stays an equality."""
@@ -215,7 +220,9 @@ class LinearConstraint:
             return lhs == rhs
         if self.rel == "le":
             return lhs < rhs
-        return lhs > rhs
+        if self.rel == "ge":
+            return lhs > rhs
+        raise ValueError(f"unknown relation {self.rel!r}")
 
 
 def facet_description(m: SparsePavingMatroid) -> list[LinearConstraint]:

@@ -4,7 +4,7 @@ Every coefficient in this package is exact; nothing here touches
 floating point.  A `Polynomial` stores one integer form: numerators
 nums[m] of t**m over one common denominator den, in lowest terms and with
 trailing zeros stripped, so that the zero polynomial has no numerators and
-degree equal to the NEG_INFINITY sentinel.
+degree -1.
 
 The arithmetic (sums, products, evaluation, the binomial polynomials, the
 Taylor shift and interpolation at 0..d) works on that form: every step is
@@ -34,8 +34,6 @@ from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
-NEG_INFINITY = float("-inf")
-
 
 def _as_fraction(x: RatLike) -> Fraction:
     # floats are rejected rather than converted: exactness is a hard invariant
@@ -62,7 +60,7 @@ class Polynomial:
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
+    def __init__(self, coeffs: Iterable[RatLike]) -> None:
         cs = [_as_fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self._set_canonical([c.numerator * (den // c.denominator) for c in cs], den)
@@ -92,9 +90,9 @@ class Polynomial:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
-    def degree(self) -> int | float:
-        """Highest nonzero index; NEG_INFINITY for the zero polynomial."""
-        return len(self.nums) - 1 if self.nums else NEG_INFINITY
+    def degree(self) -> int:
+        """Highest nonzero index; -1 for the zero polynomial."""
+        return len(self.nums) - 1
 
     def coeff(self, m: int) -> Fraction:
         """Coefficient of t**m (zero beyond the degree)."""
@@ -153,8 +151,6 @@ class Polynomial:
     def __mul__(self, other: Polynomial | RatLike) -> Polynomial:
         if isinstance(other, Polynomial):
             xs, ys = self.nums, other.nums
-            if not xs or not ys:
-                return Polynomial()
             out = [0] * (len(xs) + len(ys) - 1)
             for i, a in enumerate(xs):
                 if a:
@@ -257,7 +253,7 @@ def poly_shift(p: Polynomial, c: RatLike) -> Polynomial:
     the integer a, then scale coefficient m by b**m.
     """
     c = _as_fraction(c)
-    if not p or c == 0:
+    if not p:
         return p
     a, b = c.numerator, c.denominator
     d = len(p.nums) - 1

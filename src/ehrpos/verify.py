@@ -268,7 +268,7 @@ def check_rank3_threshold() -> tuple[bool, str]:
 def check_hstar_sanity() -> tuple[bool, str]:
     count = 0
     for label, p in _emitted_polynomials():
-        h = hstar(p, int(p.degree))
+        h = hstar(p, p.degree)
         count += 1
         if h[0] != 1 or any(v.denominator != 1 or v < 0 for v in h):
             return False, f"h* not a nonnegative integer vector with h*_0 = 1 at {label}"

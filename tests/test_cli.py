@@ -9,8 +9,7 @@ import sys
 import pytest
 
 from ehrpos import cli, codes, ehrhart, oracle
-from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_sparse, ehr_uniform
-from ehrpos.matroid import circuit_hyperplane_bound
+from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_uniform
 from ehrpos.ratpoly import Polynomial
 from ehrpos.verify import CheckResult
 
@@ -316,7 +315,8 @@ def test_hstar_degree_budget_is_checked_before_the_hstar_vector(monkeypatch, cap
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"error: real-rootedness check too large: degree 149 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+        "error: real-rootedness check too large: n = 150, degree up to 149 "
+        f"(max {cli.REAL_ROOTED_MAX_DEGREE})\n"
     )
 
 
@@ -330,35 +330,38 @@ def test_hstar_refuses_a_full_degree_before_the_build(monkeypatch, capsys) -> No
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"error: real-rootedness check too large: degree 299 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+        "error: real-rootedness check too large: n = 300, degree up to 299 "
+        f"(max {cli.REAL_ROOTED_MAX_DEGREE})\n"
     )
 
 
 @pytest.mark.parametrize("k", [1, 102])
-def test_hstar_degree_drop_is_read_from_the_build(k: int, capsys) -> None:
+def test_hstar_refuses_a_degree_drop_before_the_build(monkeypatch, k: int, capsys) -> None:
     # one circuit-hyperplane at rank 1 (a loop) or n - 1 (a coloop) drops the
-    # degree to n - 2, which only the built polynomial shows
+    # degree to n - 2; the budget reads n alone, so nothing is built to see it
+    def refuse(*args):
+        raise AssertionError("nothing may be computed past the degree budget")
+
+    for name in ("ehr_sparse", "hstar", "is_real_rooted"):
+        monkeypatch.setattr(cli, name, refuse)
     code = cli.main(["hstar", "--n", "103", "--k", str(k), "--lambda", "1", "--check-real-rooted"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert captured.err == (
-        f"error: real-rootedness check too large: degree 101 (max {cli.REAL_ROOTED_MAX_DEGREE})\n"
+        "error: real-rootedness check too large: n = 103, degree up to 102 "
+        f"(max {cli.REAL_ROOTED_MAX_DEGREE})\n"
     )
 
 
-def test_full_degree_rule_matches_the_built_degree() -> None:
-    cases = 0
-    for n in range(2, 22):
-        for k in range(1, n):
-            cap = circuit_hyperplane_bound(n, k)
-            for lam in sorted({lam for lam in (0, 1, 2, 3, cap // 2, cap) if lam <= cap}):
-                built = ehr_sparse(n, k, lam).degree == n - 1
-                assert cli._has_full_degree(n, k, lam) == built, (n, k, lam)
-                cases += 1
-    assert cases == 1068
-    # inputs that ehr_sparse rejects are left to it
-    assert not cli._has_full_degree(6, 3, circuit_hyperplane_bound(6, 3) + 1)
-    assert not cli._has_full_degree(6, 6, 0)
+def test_hstar_real_rooted_runs_at_the_degree_budget(capsys) -> None:
+    n = cli.REAL_ROOTED_MAX_DEGREE + 1  # degree n - 1, exactly the budget
+    code, out = run_cli(
+        capsys, "hstar", "--n", str(n), "--k", "2", "--lambda", "0", "--check-real-rooted"
+    )
+    assert code == 0
+    assert out.startswith("h*: 1, ")
+    assert out.endswith("\nreal-rooted: true\n")
 
 
 @pytest.mark.parametrize(

@@ -126,7 +126,7 @@ def test_ehr_minimal_values() -> None:
 def minimal_series_reference(k: int, n: int) -> Polynomial:
     """Ferroni's formula summed term by term as Polynomials: the
     binom_poly(j, j) terms, times binom_poly(n-k, n-k), over C(n-1, k-1)."""
-    series = Polynomial()
+    series = Polynomial([])
     for j in range(k):
         series = series + binomial(n - k - 1 + j, j) * binom_poly(j, j)
     return binom_poly(n - k, n - k) * series * Fraction(1, binomial(n - 1, k - 1))

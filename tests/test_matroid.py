@@ -38,6 +38,14 @@ def all_bases(m: SparsePavingMatroid) -> list[int]:
     return out
 
 
+def test_elements_of_rejects_a_negative_mask() -> None:
+    # -1 >> 1 is -1, so a bit walk over a negative mask would never end
+    for bad in (-1, -0b101):
+        with pytest.raises(ValueError, match="nonnegative"):
+            elements_of(bad)
+    assert elements_of(0) == []
+
+
 def test_mask_round_trip() -> None:
     assert mask_from_elements([1, 3, 4], 5) == 0b01101
     assert elements_of(0b01101) == [1, 3, 4]
@@ -200,6 +208,20 @@ def test_linear_constraint_verdicts_against_direct_sums() -> None:
                 for t in (0, 1, 2):
                     assert c.holds(x, t) == weak(direct, 2 * t)
                     assert c.holds_strict(x, t) == strict(direct, 2 * t)
+
+
+def test_linear_constraint_evaluates_only_known_relations() -> None:
+    # x_1 + x_2 = 2 against rhs 1 * t at t = 2: equal, so eq and the weak
+    # inequalities hold and the strict ones do not
+    x = (1, 1)
+    for rel, weak, strict in (("eq", True, True), ("le", True, False), ("ge", True, False)):
+        c = LinearConstraint(0b11, rel, 1)
+        assert (c.holds(x, 2), c.holds_strict(x, 2)) == (weak, strict), rel
+    c = LinearConstraint(0b11, "lt", 1)
+    with pytest.raises(ValueError, match="unknown relation 'lt'"):
+        c.holds(x, 1)
+    with pytest.raises(ValueError, match="unknown relation 'lt'"):
+        c.holds_strict(x, 1)
 
 
 def test_text_round_trip() -> None:
