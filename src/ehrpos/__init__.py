@@ -13,7 +13,6 @@ from .codes import (
     gs_classes,
     gs_lower_bound,
     gs_partition,
-    gs_residue,
     weight_k_masks,
 )
 from .ehrhart import (
@@ -88,7 +87,6 @@ __all__ = [
     "gs_classes",
     "gs_lower_bound",
     "gs_partition",
-    "gs_residue",
     "harmonic",
     "harmonic2",
     "hstar",

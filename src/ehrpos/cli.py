@@ -44,8 +44,9 @@ from .verify import iter_results
 
 # `hstar --check-real-rooted` refuses n when n - 1, the largest degree the
 # h*-polynomial can have, is above this.  The degree does not bound the
-# coefficient size, so it does not bound the time: (80, 40) is degree 79
-# and still takes 10-11 s as a whole process on a 2-core machine.
+# coefficient size, so it does not bound the time.  As whole processes on
+# a 2-core machine, (80, 40) at degree 79 takes about 6.4 s, and
+# (101, 50) at degree 100, the most the budget admits, about 30 s.
 REAL_ROOTED_MAX_DEGREE = 100
 # `uniform`, `minimal`, `sparse --lambda`, `hstar` and `search` (at the top
 # of --n-range) refuse larger n.  The cost grows about as n^3.4; at n = 400

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import BudgetExceededError
-from .matroid import MAX_GROUND_SET, SparsePavingMatroid, elements_of, validate
+from .matroid import MAX_GROUND_SET, SparsePavingMatroid, validate
 from .ratpoly import binomial
 
 WORD_BUDGET = 2_000_000
@@ -63,13 +63,6 @@ def weight_k_masks(n: int, k: int) -> Iterator[int]:
         low = v & -v
         ripple = v + low
         v = (((ripple ^ v) >> 2) // low) | ripple
-
-
-def gs_residue(word: int, n: int) -> int:
-    """Residue of a word: sum of (i - 1) over its elements i, mod n."""
-    if word >> n:
-        raise ValueError(f"word has elements outside {{1..{n}}}")
-    return (sum(elements_of(word)) - word.bit_count()) % n
 
 
 def _half_table(positions: range, weights: range, n: int) -> _Table:

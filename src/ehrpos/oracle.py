@@ -2,7 +2,8 @@
 
 Counts integer points of dilated basis polytopes exactly, from the facet
 description alone, by a dynamic program over the atoms of the matroid
-(classes of coordinates that lie in the same circuit-hyperplanes).  Its
+(classes of coordinates that lie in the same circuit-hyperplanes),
+placed one circuit-hyperplane at a time.  Its
 states are the circuit-hyperplane slacks, and each state's value packs
 the counts of every remaining sum into the digits of one int.  It uses no
 formula of `ehrpos.ehrhart` and builds no polynomial:
@@ -22,10 +23,11 @@ from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 # Count time grows with the number of circuit-hyperplanes, which these
 # budgets do not bound.  At n = ORACLE_MAX_N, t = ORACLE_MAX_T, on a
 # 2-core machine, the closed count takes about 1.6 s for the 26 of
-# gs_best_class(10, 5) and about 3.3 s for a (10, 5) family of 36, the
-# most any valid input at n = 10 has (A(10, 4, 5) = 36); the interior
-# count takes about 0.01 s, and `ehrpos oracle --t-max 6` on that family
-# about 4.8 s in all.
+# gs_best_class(10, 5) and about 3.2 s for a (10, 5) family of 36, the
+# most any valid input at n = 10 has (A(10, 4, 5) = 36; the blocks of the
+# Steiner system S(4, 5, 11) that miss one point); the interior count
+# takes about 0.015 s, and `ehrpos oracle --t-max 6` on that family about
+# 4.8 s in all.
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
 
@@ -47,7 +49,16 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     """Exact count by a dynamic program over the atoms of m: the classes of
     coordinates that lie in the same circuit-hyperplanes.  Coordinates of
     one atom are interchangeable, so an atom of g coordinates places one
-    sum s in [g*lo, g*hi], in ways[s] = _compositions(g, lo, hi)[s] ways.
+    sum s in [g*lo, g*hi], in ways[s] = _compositions(g, lo, hi)[s] ways;
+    one table serves every atom of that size.
+
+    Atoms are placed in sorted order of their hyperplane-index tuples: the
+    free atom first, then every atom of H_0, then the rest of H_1's atoms,
+    and so on.  A slack tells states apart only while its hyperplane is
+    open, from its first atom placed to its last.  In this order every
+    atom of H_j comes in the run of H_j or of an earlier H, so H_j is
+    closed by the end of its own run; few hyperplanes are open at once,
+    and fewer distinct states survive than in coordinate order.
 
     A layer maps a state to a packed value.  The state is, for each
     circuit-hyperplane H, its slack: cap minus the sum placed over H.  A
@@ -73,16 +84,22 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     if hi < lo:
         return 0
     chs = m.circuit_hyperplanes
+    covers: list[list[int]] = [[] for _ in range(n)]  # coordinate -> indices of its H
+    for j, h in enumerate(chs):
+        while h:
+            low = h & -h
+            covers[low.bit_length() - 1].append(j)
+            h ^= low
     sizes: dict[tuple[int, ...], int] = {}  # atom (indices of its H) -> coordinates
-    for i in range(n):
-        key = tuple(j for j, h in enumerate(chs) if h >> i & 1)
+    for key in map(tuple, covers):
         sizes[key] = sizes.get(key, 0) + 1
-    atoms = list(sizes.items())
+    atoms = sorted(sizes.items())
+    tables = {g: _compositions(g, lo, hi) for g in set(sizes.values())}
     width = ((hi - lo + 1) ** n).bit_length() + 1
     ceiling = [hi * h.bit_count() for h in chs]  # hi * coordinates of H still to place
     layer = {tuple(min(cap, c) for c in ceiling): 1 << (k * t * width)}
     for cover, g in atoms[:-1]:
-        ways = _compositions(g, lo, hi)
+        ways = tables[g]
         for j in cover:
             ceiling[j] -= hi * g
         nxt: dict[tuple[int, ...], int] = {}
@@ -103,7 +120,7 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
                 nxt[key] = nxt.get(key, 0) + part * ways[s]
         layer = nxt
     cover, g = atoms[-1]
-    ways = _compositions(g, lo, hi)
+    ways = tables[g]
     mask = (1 << width) - 1
     total = 0
     for state, vec in layer.items():

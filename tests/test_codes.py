@@ -13,7 +13,6 @@ from ehrpos.codes import (
     gs_classes,
     gs_lower_bound,
     gs_partition,
-    gs_residue,
     weight_k_masks,
 )
 from ehrpos.errors import BudgetExceededError
@@ -31,15 +30,6 @@ def test_weight_k_masks_enumeration() -> None:
     assert list(weight_k_masks(3, 4)) == []
 
 
-def test_gs_residue() -> None:
-    # sum of (i - 1) over set positions, mod n
-    assert gs_residue(0b0011, 4) == 1
-    assert gs_residue(0b1010, 4) == 0
-    assert gs_residue(0b1100, 4) == 1
-    with pytest.raises(ValueError):
-        gs_residue(0b10000, 4)
-
-
 def _ref_residue(word: int, n: int) -> int:
     """Reference: test every bit position below the word's length."""
     return sum(i for i in range(word.bit_length()) if word >> i & 1) % n
@@ -53,14 +43,6 @@ def _ref_classes(n: int, k: int) -> list[list[int]]:
         if w.bit_count() == k:
             classes[_ref_residue(w, n)].append(w)
     return classes
-
-
-@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
-def test_gs_residue_matches_bit_walk(case: tuple[int, int]) -> None:
-    n, word = case
-    assert gs_residue(word, n) == _ref_residue(word, n)
-    with pytest.raises(ValueError):
-        gs_residue(word | 1 << n, n)
 
 
 # every (n, k) up to n = 14, and the paper's cells
@@ -120,7 +102,7 @@ def test_gs_classes_have_distance_four() -> None:
         for k in range(2, n - 1):
             by_residue: dict[int, list[int]] = {r: [] for r in range(n)}
             for w in weight_k_masks(n, k):
-                by_residue[gs_residue(w, n)].append(w)
+                by_residue[_ref_residue(w, n)].append(w)
             for words in by_residue.values():
                 for i, a in enumerate(words):
                     for b in words[i + 1 :]:
@@ -199,10 +181,10 @@ def test_residue_is_class_invariant(data: st.DataObject) -> None:
     k = data.draw(st.integers(2, n - 2))
     code = gs_best_class(n, k)
     w = data.draw(st.sampled_from(code.words))
-    assert gs_residue(w, n) == code.class_index
+    assert _ref_residue(w, n) == code.class_index
 
 
 def test_mask_convention_matches_one_based_elements() -> None:
     # element i contributes weight i - 1
     w = mask_from_elements([1, 4, 5], 6)
-    assert gs_residue(w, 6) == (0 + 3 + 4) % 6
+    assert _ref_residue(w, 6) == (0 + 3 + 4) % 6

@@ -172,8 +172,9 @@ def test_counts_match_dfs_on_every_small_matroid() -> None:
 
 # p = n - 2 and q = n - 1 in the ids.  Each case has at most two atoms, H's
 # coordinates and the free ones, and the last atom is read from the packed
-# digits: H-holds-both and n2-H-is-q place the free atom first and read H's
-# last, the others read the free atom last, and n2-uniform is one atom.
+# digits.  The free atom's key () sorts first, so every case with an H
+# places the free atom first and reads H's atom last, wherever H lies;
+# n2-uniform is one atom, read from the digits at once.
 @pytest.mark.parametrize(
     ("n", "chs", "closed", "interior"),
     [
@@ -221,6 +222,56 @@ def test_atom_shapes_match_dfs(chs: list[int], atoms: int) -> None:
     for t in range(ORACLE_MAX_T + 1):
         assert oracle_count(m, t) == dfs_count(m, t, interior=False), t
         assert oracle_interior_count(m, t) == dfs_count(m, t, interior=True), t
+
+
+@pytest.mark.parametrize(
+    ("chs", "sizes"),
+    [
+        ([0b000111, 0b011100, 0b110001], [1]),  # the triangle: six atoms of one coordinate
+        ([0b000111, 0b011100], [1, 2]),  # {1, 2}, {3}, {4, 5}, {6}
+    ],
+    ids=["triangle-one-size", "two-sizes"],
+)
+def test_one_compositions_table_per_atom_size(
+    chs: list[int], sizes: list[int], monkeypatch
+) -> None:
+    m = validate(6, 3, chs)
+    real = oracle._compositions
+    calls: list[int] = []
+
+    def counted(g: int, lo: int, hi: int) -> list[int]:
+        calls.append(g)
+        return real(g, lo, hi)
+
+    monkeypatch.setattr(oracle, "_compositions", counted)
+    for t in range(2, ORACLE_MAX_T + 1):  # from t = 2 the interior count places atoms too
+        for interior in (False, True):
+            calls.clear()
+            count = oracle._count_points(m, t, interior=interior)
+            assert count == dfs_count(m, t, interior=interior)
+            assert sorted(calls) == sizes, (interior, t)
+
+
+def reversed_labels(m: SparsePavingMatroid) -> SparsePavingMatroid:
+    """m with element i + 1 relabelled n - i, validated again."""
+    n = m.n
+    flip = [sum(1 << (n - 1 - i) for i in range(n) if h >> i & 1) for h in m.circuit_hyperplanes]
+    return validate(n, m.k, flip)
+
+
+def test_counts_ignore_element_labels() -> None:
+    # reversing the ground set reorders the masks, hence the hyperplane
+    # indices and the order in which the atoms are placed
+    for n in range(2, 7):
+        for k in range(1, n):
+            for m in enumerate_small_matroids(n, k, 3):
+                r = reversed_labels(m)
+                for t in range(5):
+                    assert oracle_count(r, t) == oracle_count(m, t), (m, t)
+                    assert oracle_interior_count(r, t) == oracle_interior_count(m, t), (m, t)
+    m = reversed_labels(gs_best_class(10, 5).to_matroid())
+    assert m.lam == 26
+    assert oracle_count(m, 3) == ehr_sparse(10, 5, 26)(3)
 
 
 def test_wide_digits_many_atoms() -> None:
