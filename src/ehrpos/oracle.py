@@ -34,15 +34,18 @@ ORACLE_MAX_T = 6
 
 def _compositions(g: int, lo: int, hi: int) -> list[int]:
     """ways[s] for s in 0..g*hi: the number of (y_1..y_g) in [lo, hi]^g
-    with sum s (0 below g*lo)."""
-    ways = [1]
-    for _ in range(g):
-        nxt = [0] * (len(ways) + hi)
-        for s, w in enumerate(ways):
-            for x in range(s + lo, s + hi + 1):
-                nxt[x] += w
-        ways = nxt
-    return ways
+    with sum s (0 below g*lo).
+
+    One packed power: with span = hi - lo + 1, the digits of
+    (sum_{i < span} 2**(i*w))**g in base 2**w count the tuples of
+    [0, span - 1]^g by their sum, shifted down by g*lo.  A digit is at most
+    span**g < 2**(w - 1), so no digit carries.
+    """
+    span = hi - lo + 1
+    w = (span**g).bit_length() + 1
+    packed = sum(1 << (i * w) for i in range(span)) ** g
+    mask = (1 << w) - 1
+    return [0] * (g * lo) + [packed >> (s * w) & mask for s in range(g * (span - 1) + 1)]
 
 
 def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:

@@ -104,7 +104,9 @@ class Polynomial:
         return bool(self.nums)
 
     def __call__(self, x: RatLike) -> Fraction:
-        x = _as_fraction(x)
+        if isinstance(x, float):
+            raise TypeError("floating point is not allowed in exact arithmetic")
+        # ints and Fractions both carry .numerator and .denominator
         a, b = x.numerator, x.denominator
         # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
         if not self.nums:

@@ -163,32 +163,48 @@ def check_inequality_thresholds() -> tuple[bool, str]:
 
 
 def check_oracle_certification() -> tuple[bool, str]:
+    """Criterion 9: on every sparse paving matroid with n <= 6 and at most
+    three circuit-hyperplanes, the oracle's closed counts at t = 0..4 equal
+    the master formula, its interior counts at t = 1..4 satisfy Ehrhart
+    reciprocity, and at t = 1, 2 the facet and rank descriptions reject the
+    same points.
+
+    Each value is built once, at the level it depends on: the slices per
+    (n, k), the formula's values per (n, k, lambda), the facet description
+    and rank vector per matroid, and the oracle counts per (matroid, t).
+    """
     matroids = 0
     degenerate = 0
     for n in range(2, 7):
         for k in range(1, n):
-            # every matroid of one (n, k) shares the points and tables of a slice
             slices = [_Slice(n, k, t) for t in (1, 2)]
+            # lambda -> (p(t) for t = 0..4, interior values for t = 1..4, full_dim)
+            expected: dict[int, tuple[list, list, bool]] = {}
             for m in enumerate_small_matroids(n, k, 3):
                 matroids += 1
-                p = ehr_sparse(n, k, m.lam)
+                if m.lam not in expected:
+                    p = ehr_sparse(n, k, m.lam)
+                    # reciprocity against the strict facet description needs a
+                    # full-dimensional polytope; disconnected matroids (for
+                    # example two complementary circuit-hyperplanes at n = 2k)
+                    # drop degree, and their strict system must then be empty
+                    full_dim = p.degree == n - 1
+                    closed = [p(t) for t in range(5)]
+                    inner = [(-1) ** (n - 1) * p(-t) if full_dim else 0 for t in range(1, 5)]
+                    expected[m.lam] = closed, inner, full_dim
+                closed, inner, full_dim = expected[m.lam]
                 for t in range(5):
-                    if oracle_count(m, t) != p(t):
+                    if oracle_count(m, t) != closed[t]:
                         return False, f"count mismatch at {m}, t = {t}"
-                # reciprocity against the strict facet description needs a
-                # full-dimensional polytope; disconnected matroids (for
-                # example two complementary circuit-hyperplanes at n = 2k)
-                # drop degree, and their strict system must then be empty
-                full_dim = p.degree == n - 1
                 if not full_dim:
                     degenerate += 1
                 for t in range(1, 5):
-                    interior = oracle_interior_count(m, t)
-                    expected = (-1) ** (n - 1) * p(-t) if full_dim else 0
-                    if interior != expected:
+                    if oracle_interior_count(m, t) != inner[t - 1]:
                         return False, f"reciprocity mismatch at {m}, t = {t}"
+                facets = facet_description(m)
+                ranks = _rank_vector(m)
                 for sl in slices:
-                    if not sl.agree(m):
+                    if not sl.agree(facets, ranks):
                         return False, f"facet/rank description mismatch at {m}, t = {sl.t}"
     detail = (
         f"{matroids} matroids certified (counts, reciprocity, facet/rank agreement); "
@@ -197,11 +213,22 @@ def check_oracle_certification() -> tuple[bool, str]:
     return True, detail
 
 
+def _rank_vector(m) -> list[int]:
+    """ranks[a] = rank_of(m, a) for every mask a, each checked to lie in 0..k."""
+    ranks = [rank_of(m, a) for a in range(1 << m.n)]
+    for a, r in enumerate(ranks):
+        if not 0 <= r <= m.k:
+            raise ArithmeticError(f"rank {r} of mask {a} outside 0..{m.k}")
+    return ranks
+
+
 class _Slice:
     """The points {x in [0, t]^n : sum x = k t} of one (n, k, t), shared by
-    every rank-k matroid on n elements.  `agree(m)` holds when the facet
-    description of m and its rank description sum_{i in A} x_i <= t rank(A)
-    reject the same points, compared as bitsets (bit p for points[p]).
+    every rank-k matroid on n elements.  `agree(facets, ranks)` holds when
+    the facet description of a matroid and its rank description
+    sum_{i in A} x_i <= t ranks[A] reject the same points, compared as
+    bitsets (bit p for points[p]).  The caller builds the facet description
+    and the rank vector once per matroid and hands them to both dilations.
 
     The routes stay independent.  The facet side memoizes per constraint
     the points where `LinearConstraint.holds` is False; the constraints
@@ -210,7 +237,7 @@ class _Slice:
     """
 
     def __init__(self, n: int, k: int, t: int) -> None:
-        self.k, self.t = k, t
+        self.t = t
         self.points = [x for x in product(range(t + 1), repeat=n) if sum(x) == k * t]
         self.over = [[0] * (k + 1) for _ in range(1 << n)]
         for p, x in enumerate(self.points):
@@ -221,10 +248,10 @@ class _Slice:
                     row[r] |= bit
         self._rejects: dict[LinearConstraint, int] = {}
 
-    def rejected_by_facets(self, m) -> int:
-        """Points that violate some constraint of `facet_description(m)`."""
+    def rejected_by_facets(self, facets: list[LinearConstraint]) -> int:
+        """Points that violate some constraint of `facets`."""
         out = 0
-        for c in facet_description(m):
+        for c in facets:
             bits = self._rejects.get(c)
             if bits is None:
                 bits = sum(1 << p for p, x in enumerate(self.points) if not c.holds(x, self.t))
@@ -232,18 +259,16 @@ class _Slice:
             out |= bits
         return out
 
-    def rejected_by_rank(self, m) -> int:
-        """Points with sum_{i in A} x_i > t * rank(A) for some mask A."""
+    def rejected_by_rank(self, ranks: list[int]) -> int:
+        """Points with sum_{i in A} x_i > t * ranks[A] for some mask A;
+        every rank must lie in 0..k, as `_rank_vector` checks."""
         out = 0
-        for a, row in enumerate(self.over):
-            r = rank_of(m, a)
-            if not 0 <= r <= self.k:
-                raise ArithmeticError(f"rank {r} of mask {a} outside 0..{self.k}")
+        for row, r in zip(self.over, ranks):
             out |= row[r]
         return out
 
-    def agree(self, m) -> bool:
-        return self.rejected_by_facets(m) == self.rejected_by_rank(m)
+    def agree(self, facets: list[LinearConstraint], ranks: list[int]) -> bool:
+        return self.rejected_by_facets(facets) == self.rejected_by_rank(ranks)
 
 
 def _subset_sums(x: tuple[int, ...]) -> list[int]:

@@ -195,15 +195,32 @@ def test_tail_rules(n: int, chs: list[int], closed: list[int], interior: list[in
         assert_counts_match_references(m, t)
 
 
+def _ref_compositions(g: int, lo: int, hi: int) -> list[int]:
+    """Reference route: add one part at a time, every value of it."""
+    ways = [1]
+    for _ in range(g):
+        nxt = [0] * (len(ways) + hi)
+        for s, w in enumerate(ways):
+            for x in range(s + lo, s + hi + 1):
+                nxt[x] += w
+        ways = nxt
+    return ways
+
+
 def test_compositions_match_product() -> None:
-    for g in range(1, 5):
+    # every atom size an instance within the budgets can have, at every
+    # dilation; the brute-force product stays affordable up to g = 4
+    for g in range(1, ORACLE_MAX_N + 1):
         for t in range(ORACLE_MAX_T + 1):
             for lo, hi in ((0, t), (1, t - 1)):
                 if hi < lo:
                     continue
-                expected = [0] * (g * hi + 1)
-                for ys in product(range(lo, hi + 1), repeat=g):
-                    expected[sum(ys)] += 1
+                expected = _ref_compositions(g, lo, hi)
+                if g <= 4:
+                    brute = [0] * (g * hi + 1)
+                    for ys in product(range(lo, hi + 1), repeat=g):
+                        brute[sum(ys)] += 1
+                    assert brute == expected, (g, lo, hi)
                 assert oracle._compositions(g, lo, hi) == expected, (g, lo, hi)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -56,10 +57,11 @@ def test_facet_rank_fast_path_matches_per_subset_route() -> None:
     by_nk = _by_nk()
     assert sum(map(len, by_nk.values())) == 502
     for (n, k), matroids in by_nk.items():
-        for t in (1, 2):
-            sl = verify._Slice(n, k, t)
-            for m in matroids:
-                assert sl.agree(m) == per_subset_agree(m, t), (m, t)
+        slices = [verify._Slice(n, k, t) for t in (1, 2)]
+        for m in matroids:
+            facets, ranks = facet_description(m), verify._rank_vector(m)
+            for sl in slices:
+                assert sl.agree(facets, ranks) == per_subset_agree(m, sl.t), (m, sl.t)
 
 
 def test_facet_rank_check_catches_a_wrong_rank(monkeypatch) -> None:
@@ -67,21 +69,24 @@ def test_facet_rank_check_catches_a_wrong_rank(monkeypatch) -> None:
     # rank side accept the vertex 1_H, which the facet H <= (k - 1) t cuts off
     m = next(m for m in enumerate_small_matroids(6, 3, 1) if m.lam == 1)
     h = m.circuit_hyperplanes[0]
-    assert verify._Slice(6, 3, 1).agree(m)
+    facets = facet_description(m)
+    assert verify._Slice(6, 3, 1).agree(facets, verify._rank_vector(m))
     monkeypatch.setattr(verify, "rank_of", lambda mm, a: mm.k if a == h else rank_of(mm, a))
-    assert verify._Slice(6, 3, 1).agree(m) is False
-    assert verify._Slice(6, 3, 2).agree(m) is False
+    ranks = verify._rank_vector(m)
+    assert verify._Slice(6, 3, 1).agree(facets, ranks) is False
+    assert verify._Slice(6, 3, 2).agree(facets, ranks) is False
 
 
 def test_facet_rank_check_catches_a_missing_facet(monkeypatch) -> None:
     # without its circuit-hyperplane constraint the facet side accepts the
     # vertex 1_H, which the rank bound rank(H) = k - 1 still cuts off
     m = next(m for m in enumerate_small_matroids(6, 3, 1) if m.lam == 1)
-    assert verify._Slice(6, 3, 1).agree(m)
+    ranks = verify._rank_vector(m)
+    assert verify._Slice(6, 3, 1).agree(facet_description(m), ranks)
     monkeypatch.setattr(
         verify, "facet_description", lambda mm: facet_description(mm)[: -1 if mm.lam else None]
     )
-    assert verify._Slice(6, 3, 1).agree(m) is False
+    assert verify._Slice(6, 3, 1).agree(verify.facet_description(m), ranks) is False
     ok, detail = verify.check_oracle_certification()
     assert ok is False
     assert detail.startswith("facet/rank description mismatch at ")
@@ -94,7 +99,7 @@ def test_facet_side_accepts_exactly_the_oracle_count() -> None:
         for t in (1, 2):
             sl = verify._Slice(n, k, t)
             for m in matroids:
-                accepted = len(sl.points) - sl.rejected_by_facets(m).bit_count()
+                accepted = len(sl.points) - sl.rejected_by_facets(facet_description(m)).bit_count()
                 assert accepted == oracle_count(m, t), (m, t)
 
 
@@ -103,7 +108,81 @@ def test_out_of_range_rank_raises(monkeypatch, wrong: int) -> None:
     m = next(enumerate_small_matroids(6, 3, 0))
     monkeypatch.setattr(verify, "rank_of", lambda mm, a: wrong if a == 0b111 else rank_of(mm, a))
     with pytest.raises(ArithmeticError, match="outside 0..3"):
-        verify._Slice(6, 3, 1).agree(m)
+        verify._rank_vector(m)
+
+
+def test_criterion_9_builds_each_value_once(monkeypatch) -> None:
+    # per matroid one facet description and one rank vector (2^n masks),
+    # per (n, k, lambda) one polynomial, per (matroid, t) one oracle count
+    calls: Counter[str] = Counter()
+    for name in ("rank_of", "facet_description", "ehr_sparse", "oracle_count", "oracle_interior_count"):
+
+        def counted(*args, _real=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.check_oracle_certification()[0]
+    assert sum(2**m.n for m in small_matroids()) == 28492
+    assert len({(m.n, m.k, m.lam) for m in small_matroids()}) == 39
+    assert calls == {
+        "rank_of": 28492,
+        "facet_description": 502,
+        "ehr_sparse": 39,
+        "oracle_count": 2510,
+        "oracle_interior_count": 2008,
+    }
+
+
+# the last (6, 3) matroid with lambda = 3, so that the values of its
+# lambda were built for an earlier matroid and are shared
+LAST_6_3 = [m for m in enumerate_small_matroids(6, 3, 3) if m.lam == 3][-1]
+FIRST_6_3_LAMBDA_2 = next(m for m in enumerate_small_matroids(6, 3, 3) if m.lam == 2)
+
+
+def _corrupt_closed_count(monkeypatch) -> str:
+    real = verify.oracle_count
+    monkeypatch.setattr(verify, "oracle_count", lambda m, t: real(m, t) + (m == LAST_6_3 and t == 3))
+    return f"count mismatch at {LAST_6_3}, t = 3"
+
+
+def _corrupt_interior_count(monkeypatch) -> str:
+    real = verify.oracle_interior_count
+    monkeypatch.setattr(
+        verify, "oracle_interior_count", lambda m, t: real(m, t) + (m == LAST_6_3 and t == 2)
+    )
+    return f"reciprocity mismatch at {LAST_6_3}, t = 2"
+
+
+def _corrupt_one_lambda(monkeypatch) -> str:
+    # + t^2 leaves p(0) alone, so the first lambda = 2 matroid fails at t = 1
+    real = verify.ehr_sparse
+    nudge = Polynomial([0, 0, 1])
+    monkeypatch.setattr(
+        verify,
+        "ehr_sparse",
+        lambda n, k, lam: real(n, k, lam) + nudge if (n, k, lam) == (6, 3, 2) else real(n, k, lam),
+    )
+    return f"count mismatch at {FIRST_6_3_LAMBDA_2}, t = 1"
+
+
+def _corrupt_one_rank(monkeypatch) -> str:
+    # rank k on a circuit-hyperplane H lets the rank side accept 1_H at t = 1
+    h = LAST_6_3.circuit_hyperplanes[-1]
+    monkeypatch.setattr(
+        verify, "rank_of", lambda m, a: m.k if m == LAST_6_3 and a == h else rank_of(m, a)
+    )
+    return f"facet/rank description mismatch at {LAST_6_3}, t = 1"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corrupt_closed_count, _corrupt_interior_count, _corrupt_one_lambda, _corrupt_one_rank],
+    ids=["closed-count", "interior-count", "one-lambda", "one-rank"],
+)
+def test_criterion_9_catches_a_fault_at_one_matroid(corrupt, monkeypatch) -> None:
+    detail = corrupt(monkeypatch)
+    assert verify.check_oracle_certification() == (False, detail)
 
 
 def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
