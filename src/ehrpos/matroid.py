@@ -13,7 +13,13 @@ the representation but an input guard: it rejects matroid files and codes
 far beyond the sizes at which enumeration and the oracle are feasible.
 Two distinct k-subsets are at Hamming distance 2 exactly when they share a
 (k-1)-subset, so the distance-4 condition is checked on the lambda * k
-shadows of the family.
+shadows of the family, collected by one set comprehension that removes
+each element in turn from every word holding it.
+
+In the matroid text format, a line after the header whose tokens are k
+distinct elements written as plain decimals becomes a mask in one step, as
+the sum of their bits looked up in a table from token to bit; every other
+line takes the per-element route, which accepts it or names its fault.
 """
 
 from __future__ import annotations
@@ -66,18 +72,14 @@ def circuit_hyperplane_bound(n: int, k: int) -> int:
 class SparsePavingMatroid:
     """Rank-k sparse paving matroid on {1..n} with the given circuit-hyperplanes.
 
-    Instances are built through `validate`, which enforces the distance-4
-    condition; the constructor itself only canonicalizes the mask order.
+    Instances are built through `validate`, which sorts and dedups the
+    masks and enforces the distance-4 condition; the constructor itself
+    checks nothing and keeps the order it is given.
     """
 
     n: int
     k: int
     circuit_hyperplanes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "circuit_hyperplanes", tuple(sorted(set(self.circuit_hyperplanes)))
-        )
 
     @cached_property
     def ch_set(self) -> frozenset[int]:
@@ -121,7 +123,7 @@ def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
             f"{len(masks)} circuit-hyperplanes exceeds circuit-hyperplane bound "
             f"{circuit_hyperplane_bound(n, k)} for (n, k) = ({n}, {k})"
         )
-    if not _shadows_distinct(masks):
+    if not _shadows_distinct(masks, n, k):
         hi, hj = _first_adjacent_pair(masks, full)
         raise ValueError(
             f"{set(elements_of(hi))} and {set(elements_of(hj))} are "
@@ -130,19 +132,12 @@ def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
     return SparsePavingMatroid(n, k, tuple(masks))
 
 
-def _shadows_distinct(masks: list[int]) -> bool:
-    """True when no (k-1)-subset lies under two of the distinct k-sets."""
-    seen: set[int] = set()
-    for h in masks:
-        rest = h
-        while rest:
-            low = rest & -rest
-            shadow = h ^ low
-            if shadow in seen:
-                return False
-            seen.add(shadow)
-            rest ^= low
-    return True
+def _shadows_distinct(masks: list[int], n: int, k: int) -> bool:
+    """True when no (k-1)-subset lies under two of the distinct k-sets:
+    the k shadows of each word, built in one pass per element, are all
+    distinct."""
+    bits = [1 << i for i in range(n)]
+    return len({h ^ b for b in bits for h in masks if h & b}) == len(masks) * k
 
 
 def _first_adjacent_pair(masks: list[int], full: int) -> tuple[int, int]:
@@ -262,39 +257,52 @@ def matroid_to_text(m: SparsePavingMatroid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(toks: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: non-integer token ({exc})") from None
+
+
 def matroid_from_text(text: str) -> SparsePavingMatroid:
     """Parse the matroid text format; errors carry 1-based line numbers."""
-    header: tuple[int, int] | None = None
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        toks = raw.split()
+        if toks:
+            break
+    else:
+        raise ValueError("line 1: missing header 'n k'")
+    parts = _ints(toks, lineno)
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: expected header 'n k'")
+    n, k = parts
+    try:
+        _check_size(n, k)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
     masks: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    for lineno, raw in lines:
+        toks = raw.split()
+        if not toks:
             continue
         try:
-            parts = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer token ({exc})") from None
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected header 'n k'")
-            try:
-                _check_size(*parts)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            header = (parts[0], parts[1])
+            mask = sum(map(bit_of, toks))
+        except KeyError:  # not a plain decimal element; toks is not empty
+            mask = 0
+        # a sum of k powers of two has k bits set exactly when they are distinct
+        if len(toks) == k and mask.bit_count() == k:
+            masks.append(mask)
             continue
-        n, k = header
+        parts = _ints(toks, lineno)
         if len(parts) != k:
-            raise ValueError(
-                f"line {lineno}: expected {k} elements, got {len(parts)}"
-            )
+            raise ValueError(f"line {lineno}: expected {k} elements, got {len(parts)}")
         try:
             masks.append(mask_from_elements(parts, n))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if header is None:
-        raise ValueError("line 1: missing header 'n k'")
     try:
-        return validate(header[0], header[1], masks)
+        return validate(n, k, masks)
     except ValueError as exc:
         raise ValueError(f"invalid matroid: {exc}") from None

@@ -102,8 +102,17 @@ def check_residue_classes_20_9() -> tuple[bool, str]:
     equal = sizes == [CLASS_SIZE_20_9] * 20
     # full distance-4 validation: the lambda * k = 75,582 shadows are distinct
     matroid = code.to_matroid()
-    ok = equal and matroid.lam == LAMBDA_20_9 and (matroid.n, matroid.k) == (20, 9)
-    return ok, f"class sizes = {sorted(set(sizes))}, chosen class validated with lambda = {matroid.lam}"
+    bound = gs_lower_bound(20, 9)
+    ok = (
+        equal
+        and bound == CLASS_SIZE_20_9
+        and matroid.lam == LAMBDA_20_9
+        and (matroid.n, matroid.k) == (20, 9)
+    )
+    return ok, (
+        f"class sizes = {sorted(set(sizes))}, gs_lower_bound(20, 9) = {bound}, "
+        f"chosen class validated with lambda = {matroid.lam}"
+    )
 
 
 def check_counterexample_19() -> tuple[bool, str]:
@@ -287,7 +296,9 @@ def check_rank3_threshold() -> tuple[bool, str]:
     lam = gs_lower_bound(n, 3)
     quad = ehr_uniform_coeff(3, n, 2) - lam * quad_coeff_minimal_shifted(3, n)
     sign = "negative" if quad < 0 else "nonnegative"
-    return quad < 0, f"[t^2] ehr_sparse({n}, 3, {lam}) is {sign}"
+    return quad < 0, (
+        f"ehr_uniform_coeff(3, {n}, 2) - {lam} * quad_coeff_minimal_shifted(3, {n}) is {sign}"
+    )
 
 
 def check_hstar_sanity() -> tuple[bool, str]:
@@ -298,7 +309,14 @@ def check_hstar_sanity() -> tuple[bool, str]:
         if h[0] != 1 or any(v.denominator != 1 or v < 0 for v in h):
             return False, f"h* not a nonnegative integer vector with h*_0 = 1 at {label}"
     rooted = is_real_rooted(hstar(ehr_sparse(20, 9, LAMBDA_20_9), 19))
-    return rooted, f"{count} h*-vectors checked; h*(sparse(20,9,8398)) real-rooted: {rooted}"
+    # controls with known verdicts: t^2 + 1 has no real root, and
+    # (t - 1)^2 (t + 2) = t^3 - 3t + 2 is real-rooted with a repeated root
+    complex_control = is_real_rooted([1, 0, 1])
+    repeated_control = is_real_rooted([2, -3, 0, 1])
+    return rooted and not complex_control and repeated_control, (
+        f"{count} h*-vectors checked; h*(sparse(20,9,8398)) real-rooted: {rooted}; "
+        f"controls real-rooted: t^2 + 1: {complex_control}, (t - 1)^2 (t + 2): {repeated_control}"
+    )
 
 
 CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [

@@ -660,11 +660,12 @@ GOLDEN_STDOUT = {
         ["hstar", "--n", "60", "--k", "2", "--lambda", "30", "--check-real-rooted"],
         "fa502373d682780f914ab84f8590e28888c4d3f591a8e160d190a5e93c867ff4",
     ),
-    # re-pinned when criterion 10 began to run by default: the former
-    # `verify-paper --heavy` stdout with " (heavy)" dropped from its name
+    # re-pinned when criterion 2 began to check gs_lower_bound(20, 9),
+    # criterion 11 its two real-rootedness controls, and criterion 10's
+    # detail began to name the two coefficients it computes
     "verify-paper": (
         ["verify-paper"],
-        "81be53741fdadc52bf935081a3e82687a55f62da95eece04965e232f52477afe",
+        "8f04c027cb9254591bca2255f864dacdb2f749c0dbbed6e21f867e99b39fab7a",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],
@@ -805,12 +806,23 @@ GOLDEN_CODE_FILE = "c12a7980efdaf242957c02dd0eee50d85377ba8ccc65b5a12d59e1704346
 # before the partition met in the middle and the file went through byte tables
 GOLDEN_CODE_FILE_20_9 = "a06cd4fb0f798bc50e14d7d01d614788ccb0ea082b0a1200741bb686c3f5d48e"
 
+# sha256 of the stdout of `sparse --matroid-file FILE` on that file, by
+# format, recorded before matroid files were parsed through a token table
+GOLDEN_SPARSE_FILE_20_9 = {
+    "json": "de4757899eff28c096c04c6e5d39e37db7427363b4e9d948fc1687392c8b3215",
+    "text": "efd66c61762bb15a2c6497e5ef972d9e43ca8c27d712cb64944a183bfcfd16a0",
+}
+
 
 def test_code_file_20_9(tmp_path, capsys) -> None:
     path = tmp_path / "m.txt"
     code, _ = run_cli(capsys, "code", "--n", "20", "--k", "9", "--output", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CODE_FILE_20_9
+    for fmt, digest in GOLDEN_SPARSE_FILE_20_9.items():
+        code, out = run_cli(capsys, "sparse", "--matroid-file", str(path), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))

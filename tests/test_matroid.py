@@ -21,6 +21,7 @@ from ehrpos.matroid import (
     rank_of,
     validate,
 )
+from ehrpos.codes import gs_partition
 from ehrpos.oracle import enumerate_small_matroids
 from ehrpos.ratpoly import binomial
 
@@ -104,10 +105,12 @@ def first_close_pair(masks: list[int]) -> tuple[int, int] | None:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
-    n = data.draw(st.integers(2, 10))
+    # ground sets on both sides of the byte, word and 32-bit boundaries
+    n = data.draw(st.sampled_from([8, 9, 16, 17, 32, 33, 63, 64]) | st.integers(2, 64))
     k = data.draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    # each word is a uniform k-subset, the head of a shuffled ground set
     drawn = data.draw(
-        st.lists(st.frozensets(st.integers(1, n), min_size=k, max_size=k), max_size=15)
+        st.lists(st.permutations(range(1, n + 1)).map(lambda p: frozenset(p[:k])), max_size=15)
     )
     words = [mask_from_elements(s, n) for s in drawn]
     if data.draw(st.booleans()):  # thin to a valid code, so accepts are common
@@ -289,3 +292,122 @@ def test_blank_lines_ignored() -> None:
     text = "\n6 3\n1 2 3\n\n4 5 6\n\n"
     m = matroid_from_text(text)
     assert m.lam == 2
+
+
+def ref_matroid_from_text(text: str) -> SparsePavingMatroid:
+    """Reference: the per-element parser that the token table fronts."""
+    header: tuple[int, int] | None = None
+    masks: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            parts = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-integer token ({exc})") from None
+        if header is None:
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: expected header 'n k'")
+            try:
+                matroid._check_size(*parts)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            header = (parts[0], parts[1])
+            continue
+        n, k = header
+        if len(parts) != k:
+            raise ValueError(f"line {lineno}: expected {k} elements, got {len(parts)}")
+        try:
+            masks.append(mask_from_elements(parts, n))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if header is None:
+        raise ValueError("line 1: missing header 'n k'")
+    try:
+        return validate(header[0], header[1], masks)
+    except ValueError as exc:
+        raise ValueError(f"invalid matroid: {exc}") from None
+
+
+def _parse_outcome(parse, text: str) -> tuple[str, object]:
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+HEADER_FAULTS = {
+    "one-number": "20",
+    "three-numbers": "20 9 1",
+    "non-integer": "20 x",
+    "n-too-large": "65 9",
+    "k-too-large": "20 21",
+}
+
+SMALL_FILES = {
+    "empty": "",
+    "blank-only": "\n \t\n",
+    "header-only": "6 3\n",
+    "rank-0": "6 0\n\n",
+    "rank-0-element": "6 0\n1\n",
+    "non-canonical-tokens": "12 3\n07 +8 1_0\n",
+}
+
+
+def _parse_inputs() -> dict[str, str]:
+    """The (20, 9) code file; copies of it with one fault or one
+    non-canonical spelling at line 2 and at the last line, or with other
+    whitespace; and a few small files."""
+    text = matroid_to_text(gs_partition(20, 9)[1].to_matroid())
+    lines = text.splitlines()
+    edits = {
+        "non-integer": lambda toks: toks[:-1] + ["x"],
+        "hex": lambda toks: toks[:-1] + ["0x7"],
+        "decimal-point": lambda toks: toks[:-1] + [toks[-1] + ".0"],
+        "above-ground-set": lambda toks: toks[:-1] + ["21"],
+        "zero": lambda toks: ["0"] + toks[1:],
+        "negative": lambda toks: ["-3"] + toks[1:],
+        "repeat": lambda toks: toks[:1] + toks[:-1],
+        "too-few": lambda toks: toks[:-1],
+        "too-many": lambda toks: toks + [toks[0]],
+        "leading-zero": lambda toks: ["0" + toks[0]] + toks[1:],
+        "plus-sign": lambda toks: ["+" + toks[0]] + toks[1:],
+        "non-ascii-digit": lambda toks: [chr(0x660 + int(toks[0]))] + toks[1:],
+    }
+    variants = {"paper": text}
+    for where in (1, len(lines) - 1):
+        for name, edit in edits.items():
+            edited = lines[:where] + [" ".join(edit(lines[where].split()))] + lines[where + 1 :]
+            variants[f"{name}@{where + 1}"] = "\n".join(edited) + "\n"
+        for name, bad in HEADER_FAULTS.items():
+            headed = [""] * where + [bad] + lines[where + 1 :]
+            variants[f"header-{name}@{where + 1}"] = "\n".join(headed) + "\n"
+    # "1_0" is int("10"); swap it in on a line that holds element 10
+    at = next(i for i, line in enumerate(lines) if i and "10" in line.split())
+    variants["underscore"] = "\n".join(
+        " ".join("1_0" if tok == "10" else tok for tok in line.split()) if i == at else line
+        for i, line in enumerate(lines)
+    )
+    variants["duplicate-line"] = text + lines[-1] + "\n"
+    toks = lines[1].split()
+    swapped = toks[:-1] + [next(str(e) for e in range(1, 21) if str(e) not in toks)]
+    variants["adjacent-words"] = "\n".join(lines[:2] + [" ".join(swapped)]) + "\n"
+    variants["tabs"] = text.replace(" ", "\t")
+    variants["crlf"] = text.replace("\n", "\r\n")
+    variants["trailing-blanks"] = "".join(line + " \t \n" for line in lines)
+    variants["blank-lines"] = "\n\n" + "\n \t\n".join(lines) + "\n\n"
+    variants["unicode-whitespace"] = text.replace(" ", "\xa0\u2003").replace("\n", " \u2028")
+    variants["vertical-tab"] = text.replace(" ", " \x0b", 1)
+    variants["no-final-newline"] = text.rstrip("\n")
+    variants.update(SMALL_FILES)
+    return variants
+
+
+_PARSE_INPUTS = _parse_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(_PARSE_INPUTS))
+def test_text_parse_matches_per_element_reference(name: str) -> None:
+    text = _PARSE_INPUTS[name]
+    assert _parse_outcome(matroid_from_text, text) == _parse_outcome(ref_matroid_from_text, text)

@@ -196,3 +196,17 @@ def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
     assert not ok
     assert "all" not in detail
     assert detail == "152 of 153 capped polynomials positive; violations: [(2, 5)]"
+
+
+@pytest.mark.parametrize(
+    "kernel, corrupt, criterion",
+    [
+        ("is_real_rooted", lambda real: lambda coeffs: True, 11),
+        ("gs_lower_bound", lambda real: lambda n, k: real(n, k) - 1, 2),
+    ],
+    ids=["is_real_rooted-always-true", "gs_lower_bound-minus-one"],
+)
+def test_corrupted_kernel_fails_its_criterion(kernel, corrupt, criterion, monkeypatch) -> None:
+    monkeypatch.setattr(verify, kernel, corrupt(getattr(verify, kernel)))
+    _, name, fn = next(c for c in verify.CHECKS if c[0] == criterion)
+    assert verify.run_check(criterion, name, fn).status == "fail"
