@@ -763,6 +763,11 @@ GOLDEN_STDOUT = {
         ["bounds", "--n", "6", "--k", "1", "--format", "csv"],
         "c92cca497e3d953c0f246a18bf6b2395c107b2488258524bac3de35965b7358a",
     ),
+    # rank 5 at n = 40, where [t^2] first goes negative: gs_lower_bound = 16450
+    "bounds-40-5": (
+        ["bounds", "--n", "40", "--k", "5"],
+        "6e82bbdbf1589499ac24455d08560a84ce8dd2474f1e13356e6514a8c3b56720",
+    ),
     "search-json": (
         ["search", "--n-range", "18:22", "--k-range", "7:11", "--format", "json"],
         "1bf952aca937d018ce87628d2080e0f91c286086bc57fd37e1cb2a0f81cf5e76",

@@ -8,13 +8,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ehrpos"
-# the package modules and the scripts built on them
-PROGRAM_FILES = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+# the package modules: the CLI is the one program entry point
+PROGRAM_FILES = sorted(SRC.glob("*.py"))
 
 
 def test_src_has_no_assert_statements() -> None:
     # python -O strips assert statements, so invariants must raise explicitly
-    assert {path.parent.name for path in PROGRAM_FILES} == {"ehrpos", "scripts"}
+    # a program file outside the package has to change this check first
+    assert {path.parent for path in PROGRAM_FILES} == {SRC}
+    assert not (ROOT / "scripts").exists()
     found = [
         f"{path.name}:{node.lineno}"
         for path in PROGRAM_FILES
@@ -104,7 +106,7 @@ def test_only_ratpoly_reads_fraction_coefficients() -> None:
     # Fraction; `.coeff(m)` for a single detail value stays allowed
     found = {
         path.name: lines
-        for path in sorted(SRC.glob("*.py"))
+        for path in PROGRAM_FILES
         if path.name != "ratpoly.py"
         and (lines := _coeffs_reads(ast.parse(path.read_text(), filename=str(path))))
     }
@@ -203,7 +205,7 @@ def test_float_check_catches_a_float() -> None:
 def test_defaulted_parameter_count_is_pinned() -> None:
     # each default is a setting some caller can change: a new one has to
     # change this pin
-    found = sum(_defaulted_parameters(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py")))
+    found = sum(_defaulted_parameters(ast.parse(p.read_text())) for p in PROGRAM_FILES)
     assert found == 4
 
 
