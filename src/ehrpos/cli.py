@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .codes import gs_lower_bound, gs_partition
 from .ehrhart import (
@@ -40,7 +40,7 @@ from .errors import BudgetExceededError
 from .hstar import hstar, is_real_rooted
 from .matroid import circuit_hyperplane_bound, matroid_from_text, matroid_to_text
 from .oracle import check_oracle_instance, oracle_count
-from .verify import iter_results
+from .verify import CHECKS, run_check
 
 # `hstar --check-real-rooted` refuses n when n - 1, the largest degree the
 # h*-polynomial can have, is above this.  The degree does not bound the
@@ -62,6 +62,9 @@ SEARCH_MAX_WORK = 10**11
 # Python refuses to print an int of more than 4,300 digits (the largest n
 # that prints is 4,967); n = 4,000 takes 0.08 s.
 BOUNDS_MAX_N = 4000
+
+# a subcommand's handler, bound to its parser: returns the exit status
+Handler = Callable[[argparse.Namespace], int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,9 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(
-        name: str, help_text: str, *, fmt: bool = True, nk: bool = True
+        name: str, help_text: str, handler: Handler, *, fmt: bool = True, nk: bool = True
     ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if fmt:
             p.add_argument("--format", default="text", choices=("text", "json", "csv"))
         if nk:
@@ -103,13 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
         return p
 
-    add("uniform", "Ehrhart polynomial of the uniform matroid U_{k,n}")
+    add("uniform", "Ehrhart polynomial of the uniform matroid U_{k,n}", _cmd_polynomial)
 
-    p = add("minimal", "Ehrhart polynomial of the minimal matroid T_{k,n}")
+    p = add("minimal", "Ehrhart polynomial of the minimal matroid T_{k,n}", _cmd_polynomial)
     p.add_argument("--shifted", action="store_true", help="evaluate at t - 1")
 
     p = add(
-        "sparse", "Ehrhart polynomial and positivity report of a sparse paving matroid", nk=False
+        "sparse",
+        "Ehrhart polynomial and positivity report of a sparse paving matroid",
+        _cmd_sparse,
+        nk=False,
     )
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
@@ -117,24 +124,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provenance", choices=PROVENANCES, default="user")
     p.add_argument("--matroid-file")
 
-    p = add("code", "residue-class constant-weight code and its matroid")
+    p = add("code", "residue-class constant-weight code and its matroid", _cmd_code)
     p.add_argument("--output", help="write the matroid text format here instead of stdout")
 
-    add("bounds", "circuit-hyperplane and quadratic-coefficient bounds")
+    add("bounds", "circuit-hyperplane and quadratic-coefficient bounds", _cmd_bounds)
 
-    p = add("search", "Ehrhart positivity search at lambda = gs_lower_bound", nk=False)
+    p = add(
+        "search", "Ehrhart positivity search at lambda = gs_lower_bound", _cmd_search, nk=False
+    )
     p.add_argument("--n-range", type=_range_arg, required=True, metavar="LO:HI")
     p.add_argument("--k-range", type=_range_arg, default=(1, 63), metavar="LO:HI")
 
     add(
-        "verify-paper", "run the acceptance suite and print pass/fail per item", fmt=False, nk=False
+        "verify-paper",
+        "run the acceptance suite and print pass/fail per item",
+        _cmd_verify_paper,
+        fmt=False,
+        nk=False,
     )
 
-    p = add("oracle", "compare oracle lattice point counts with the formula", fmt=False, nk=False)
+    p = add(
+        "oracle",
+        "compare oracle lattice point counts with the formula",
+        _cmd_oracle,
+        fmt=False,
+        nk=False,
+    )
     p.add_argument("--matroid-file", required=True)
     p.add_argument("--t-max", type=int, default=4)
 
-    p = add("hstar", "h*-vector of a sparse paving matroid polytope")
+    p = add("hstar", "h*-vector of a sparse paving matroid polytope", _cmd_hstar)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--check-real-rooted", action="store_true")
 
@@ -310,7 +329,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     failures = 0
-    for res in iter_results():
+    for check in CHECKS:
+        res = run_check(*check)
         print(f"{res.status.upper()} criterion {res.criterion:2d}: {res.name} :: {res.detail}")
         if res.status == "fail":
             failures += 1
@@ -360,23 +380,10 @@ def _cmd_hstar(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "uniform": _cmd_polynomial,
-    "minimal": _cmd_polynomial,
-    "sparse": _cmd_sparse,
-    "code": _cmd_code,
-    "bounds": _cmd_bounds,
-    "search": _cmd_search,
-    "verify-paper": _cmd_verify_paper,
-    "oracle": _cmd_oracle,
-    "hstar": _cmd_hstar,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,13 +36,13 @@ class ConstantWeightCode:
     """A set of weight-k words of length n with pairwise distance >= 4.
 
     class_index records which residue class the code came from, when it
-    was produced by the residue partition; None for externally built codes.
+    was produced by the residue partition; an external code passes None.
     """
 
     n: int
     k: int
     words: tuple[int, ...]
-    class_index: int | None = None
+    class_index: int | None
 
     def to_matroid(self) -> SparsePavingMatroid:
         """The sparse paving matroid whose circuit-hyperplanes are the words."""

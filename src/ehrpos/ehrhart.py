@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .codes import gs_lower_bound
+from .errors import BudgetExceededError
 from .matroid import circuit_hyperplane_bound
 from .ratpoly import (
     Polynomial,
@@ -396,7 +397,7 @@ def verify_rank2_inequalities(n_max: int) -> bool:
     table, which would be cubic in n_max.
     """
     if n_max > 2000:
-        raise ValueError("n_max budget is 2000")
+        raise BudgetExceededError(f"rank-2 inequality check too large: n_max = {n_max} (max 2000)")
     for m in range(13, n_max + 1):
         if m * m * (m + 1) * (m - 1) > 4 * (2**m - m - 2):
             return False

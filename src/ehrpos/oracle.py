@@ -1,15 +1,17 @@
 """Lattice-point oracle for desk-scale certification.
 
-Counts integer points of dilated basis polytopes exactly, from the facet
-description alone, by a dynamic program over the atoms of the matroid
-(classes of coordinates that lie in the same circuit-hyperplanes),
-placed one circuit-hyperplane at a time.  Its
+Counts integer points of dilated basis polytopes exactly.  It reads
+`m.circuit_hyperplanes` and writes the box, sum and cap constraints out
+itself; `matroid.facet_description` is read only by criterion 9's
+facet/rank check and the tests.  The count is a dynamic program over the
+atoms of the matroid (classes of coordinates that lie in the same
+circuit-hyperplanes), placed one circuit-hyperplane at a time.  Its
 states are the circuit-hyperplane slacks, and each state's value packs
-the counts of every remaining sum into the digits of one int.  It uses no
-formula of `ehrpos.ehrhart` and builds no polynomial:
-the test suite and `verify` compare its counts with the formula's values,
-one dilation at a time.  Budgets keep instances small: this module is a
-certifier, not a production counter.
+the counts of every remaining sum into the digits of one int.  It uses
+no formula of `ehrpos.ehrhart` and builds no polynomial: the test suite
+and `verify` compare its counts with the formula's values, one dilation
+at a time.  Budgets keep instances small: this module is a certifier,
+not a production counter.
 """
 
 from __future__ import annotations

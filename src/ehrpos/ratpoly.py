@@ -123,9 +123,6 @@ class Polynomial:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
     def _plus(self, other: Polynomial, sign: int) -> Polynomial:
         # self + sign * other in one pass over the lcm of the denominators
         den = math.lcm(self.den, other.den)
@@ -146,9 +143,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._plus(other, -1)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial._from_int_form([-c for c in self.nums], self.den)
 
     def __mul__(self, other: Polynomial | RatLike) -> Polynomial:
         if isinstance(other, Polynomial):

@@ -2,9 +2,9 @@
 
 Every check recomputes a result from scratch through the public API and
 compares it against frozen golden values (exact fractions and integer
-counts).  `iter_results` runs the checks in order and yields one result
-per check, which the command line front end prints as a pass/fail table;
-the acceptance tests run each entry of `CHECKS` through `run_check`.
+counts).  `run_check` runs one entry of `CHECKS`, an exception counting
+as a fail; the command line front end runs the entries in order and
+prints a pass/fail table, and the acceptance tests run each the same way.
 
 The rank-3 threshold check reads a single coefficient of a degree-3588
 polynomial from Katzman's formula (about 0.1 s) instead of building it.
@@ -340,9 +340,3 @@ def run_check(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> 
     except Exception:
         return CheckResult(criterion, name, "fail", traceback.format_exc(limit=3).strip())
     return CheckResult(criterion, name, "pass" if ok else "fail", detail)
-
-
-def iter_results() -> Iterator[CheckResult]:
-    """Run the suite check by check, in the order of `CHECKS`."""
-    for criterion, name, fn in CHECKS:
-        yield run_check(criterion, name, fn)

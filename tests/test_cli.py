@@ -11,7 +11,6 @@ import pytest
 from ehrpos import cli, codes, ehrhart, oracle
 from ehrpos.ehrhart import CounterexampleReport, ehr_minimal_shifted, ehr_uniform
 from ehrpos.ratpoly import Polynomial
-from ehrpos.verify import CheckResult
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -393,10 +392,10 @@ def test_polynomial_n_budget_admits_the_cap(capsys) -> None:
     assert len(out.split(", ")) == cli.POLY_MAX_N  # a simplex of dimension n - 1
 
 
-def _subcommands() -> set[str]:
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     actions = cli.build_parser()._actions
     (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
-    return set(subparsers.choices)
+    return subparsers.choices
 
 
 _BIG_N = str(cli.POLY_MAX_N + 1)
@@ -429,7 +428,7 @@ BUDGET_CASES: dict[str, tuple[list[str], list[tuple[object, str]]] | str] = {
 
 
 def test_budget_table_names_every_subcommand() -> None:
-    assert set(BUDGET_CASES) == _subcommands()
+    assert set(BUDGET_CASES) == set(_subcommands())
 
 
 @pytest.mark.parametrize("name", sorted(k for k, v in BUDGET_CASES.items() if isinstance(v, tuple)))
@@ -508,11 +507,11 @@ def test_oracle_refuses_before_printing(
 
 
 def test_verify_paper_failure_is_exit_3(capsys, monkeypatch) -> None:
-    results = [
-        CheckResult(1, "stub pass", "pass", "ok"),
-        CheckResult(2, "stub fail", "fail", "boom"),
+    checks = [
+        (1, "stub pass", lambda: (True, "ok")),
+        (2, "stub fail", lambda: (False, "boom")),
     ]
-    monkeypatch.setattr(cli, "iter_results", lambda: iter(results))
+    monkeypatch.setattr(cli, "CHECKS", checks)
     code, out = run_cli(capsys, "verify-paper")
     assert code == 3
     lines = out.splitlines()
@@ -563,17 +562,26 @@ def test_parser_defaults() -> None:
     assert args.lam == 2 and args.provenance == "user"
 
 
+def test_every_subcommand_binds_a_handler() -> None:
+    # a subcommand added without its handler would fail only at run time
+    subcommands = _subcommands()
+    assert len(subcommands) == 9
+    unbound = [name for name, p in subcommands.items() if not callable(p.get_default("handler"))]
+    assert unbound == []
+
+
 def test_main_does_not_leak_arguments(tmp_path, capsys, monkeypatch) -> None:
     # the parser is built once per process; each call must still parse afresh
     assert cli.build_parser() is cli.build_parser()
     seen = []
-    handler = cli._HANDLERS["sparse"]
+    parser = cli.build_parser()
+    parse_args = parser.parse_args
 
-    def recording(args):
-        seen.append(args)
-        return handler(args)
+    def recording(argv):
+        seen.append(parse_args(argv))
+        return seen[-1]
 
-    monkeypatch.setitem(cli._HANDLERS, "sparse", recording)
+    monkeypatch.setattr(parser, "parse_args", recording)
     f = tmp_path / "m.txt"
     f.write_text("6 3\n1 2 3\n4 5 6\n", encoding="ascii")
     first = ["sparse", "--n", "6", "--k", "3", "--lambda", "2", "--provenance", "gs-bound"]

@@ -168,8 +168,8 @@ def test_code_determinism() -> None:
 
 def test_constant_weight_code_rejects_bad_words() -> None:
     with pytest.raises(ValueError, match="not a k-subset"):
-        ConstantWeightCode(6, 3, (0b000011,)).to_matroid()
-    bad = ConstantWeightCode(6, 3, (0b000111, 0b001011))
+        ConstantWeightCode(6, 3, (0b000011,), class_index=None).to_matroid()
+    bad = ConstantWeightCode(6, 3, (0b000111, 0b001011), class_index=None)
     with pytest.raises(ValueError, match="adjacent in Johnson graph"):
         bad.to_matroid()
 

@@ -30,6 +30,7 @@ from ehrpos.ehrhart import (
     upper_bound_quad_uniform,
     verify_rank2_inequalities,
 )
+from ehrpos.errors import BudgetExceededError
 from ehrpos.matroid import circuit_hyperplane_bound
 from ehrpos.ratpoly import Polynomial, binom_poly, binomial, poly_shift
 
@@ -358,7 +359,7 @@ def test_rank2_poly_positive() -> None:
 
 def test_verify_rank2_inequalities() -> None:
     assert verify_rank2_inequalities(150)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(BudgetExceededError, match=r"n_max = 2001 \(max 2000\)"):
         verify_rank2_inequalities(2001)
 
 

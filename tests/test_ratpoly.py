@@ -54,7 +54,6 @@ def test_arithmetic_small() -> None:
     assert (p - p).coeffs == ()
     assert (p * q).coeffs == (0, 0, 3, 6)
     assert (2 * p).coeffs == (2, 4)
-    assert (-p).coeffs == (-1, -2)
 
 
 @given(small_polys, small_polys)
@@ -262,7 +261,7 @@ def test_mul_matches_fraction_convolution(p: Polynomial, q: Polynomial, c: Fract
 
 # an int scale takes the integer-only path of __mul__, a Fraction the other
 @given(small_polys, small_polys, st.one_of(st.integers(-(10**9), 10**9), fractions))
-def test_add_sub_neg_scale_match_fraction_arithmetic(
+def test_add_sub_scale_match_fraction_arithmetic(
     p: Polynomial, q: Polynomial, c: int | Fraction
 ) -> None:
     a, b = list(p.coeffs), list(q.coeffs)
@@ -274,7 +273,6 @@ def test_add_sub_neg_scale_match_fraction_arithmetic(
         (p - q, [x - y for x, y in zip(a, b)]),
         (q - p, [y - x for x, y in zip(a, b)]),
         (p - p, []),
-        (-p, [-x for x in a]),
         (c * p, [c * x for x in a]),
         (p * c, [x * c for x in a]),
         (p - c * q, [x - c * y for x, y in zip(a, b)]),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ehrpos"
@@ -158,13 +159,27 @@ def test_cli_options_are_pinned() -> None:
     assert sum(map(len, found.values())) == 30
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
 def _defaulted_parameters(tree: ast.Module) -> int:
     """Parameters with a default value, positional or keyword-only, over
-    every function and lambda."""
+    every function and lambda, and fields with a default value of every
+    `@dataclass` class."""
     return sum(
         len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ) + sum(
+        isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
     )
 
 
@@ -210,5 +225,136 @@ def test_defaulted_parameter_count_is_pinned() -> None:
 
 
 def test_defaulted_parameter_count_sees_every_kind() -> None:
-    snippet = "def f(a, b=1, *, c, d=2): pass\nasync def g(e=3): pass\nh = lambda i=4: i\n"
-    assert _defaulted_parameters(ast.parse(snippet)) == 4
+    snippet = (
+        "def f(a, b=1, *, c, d=2): pass\n"
+        "async def g(e=3): pass\n"
+        "h = lambda i=4: i\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: int | None = None\n"
+        "    TABLE = (1, 2)\n"
+        "class Plain:\n"
+        "    z: int = 0\n"
+    )
+    assert _defaulted_parameters(ast.parse(snippet)) == 5
+
+
+def _functions(node: ast.AST, prefix: str = "") -> Iterator[tuple[str, ast.FunctionDef]]:
+    """Every function and method under `node`, with its dotted name:
+    `Class.method`, `function.inner`."""
+    for child in ast.iter_child_nodes(node):
+        scope = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            scope = f"{prefix}{child.name}."
+        elif isinstance(child, ast.ClassDef):
+            scope = f"{prefix}{child.name}."
+        yield from _functions(child, scope)
+
+
+def _uncalled(trees: list[ast.Module]) -> list[str]:
+    """Functions and methods, dunders aside, whose name none of the modules
+    reads, as a name or as an attribute."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return sorted(
+        qualname
+        for tree in trees
+        for qualname, node in _functions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in read
+    )
+
+
+# every function the package defines and never reads, with the reason it
+# stays; an entry goes once its function is read or deleted
+UNCALLED = {
+    "_Parser.error": "argparse calls it on a bad argument",
+    "LinearConstraint.holds_strict": "the interior reference of tests/test_oracle.py",
+    "poly_shift": "spanned by perfbench/spans.py until ROADMAP item 1",
+    "binom_poly": "spanned by perfbench/spans.py until ROADMAP item 1",
+    "gs_classes": "spanned by perfbench/spans.py until ROADMAP item 1",
+    "gs_best_class": "spanned by perfbench/spans.py until ROADMAP item 1",
+}
+
+
+def test_every_src_function_is_read() -> None:
+    # a helper that only its own tests use is code to delete; __init__.py
+    # only re-exports, so its names do not count as reads
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for path in PROGRAM_FILES
+        if path.name != "__init__.py"
+    ]
+    assert _uncalled(trees) == sorted(UNCALLED)
+
+
+def test_uncalled_check_catches_a_helper() -> None:
+    snippet = (
+        "class P:\n"
+        "    def __eq__(self, other): return self.used() == other\n"
+        "    def used(self): return _helper\n"
+        "    def spare(self): pass\n"
+        "def _helper(x):\n"
+        "    def inner(): pass\n"
+        "    return x\n"
+    )
+    assert _uncalled([ast.parse(snippet)]) == ["P.spare", "_helper.inner"]
+
+
+# the caches that outlive a call: each decorator of functools.cache,
+# lru_cache or cached_property in the package.  ratpoly's growing
+# harmonic tables (_harmonic_vals, _harmonic2_vals) are the one other
+# cross-call memory; a new cache has to change this pin
+CACHED = {
+    "ehrhart.ehr_uniform",
+    "ehrhart.ehr_minimal_shifted",
+    "cli.build_parser",
+    "matroid.SparsePavingMatroid.ch_set",
+}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _cached(tree: ast.Module, module: str) -> set[str]:
+    """Functions and methods decorated with a `functools` cache, by name or
+    as an attribute, with or without a call."""
+    found = set()
+    for qualname, node in _functions(tree):
+        for d in node.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            name = d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+            if name in CACHE_DECORATORS:
+                found.add(f"{module}.{qualname}")
+    return found
+
+
+def test_cross_call_caches_are_pinned() -> None:
+    found = set().union(
+        *(_cached(ast.parse(p.read_text(), filename=str(p)), p.stem) for p in PROGRAM_FILES)
+    )
+    assert found == CACHED
+
+
+def test_cache_check_catches_every_form() -> None:
+    snippet = (
+        "@functools.cache\n"
+        "def a(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(): pass\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def c(): pass\n"
+        "@cache\n"
+        "def d(): pass\n"
+        "class E:\n"
+        "    @cached_property\n"
+        "    def f(self): pass\n"
+        "    @property\n"
+        "    def g(self): pass\n"
+        "@staticmethod\n"
+        "def h(): pass\n"
+    )
+    assert _cached(ast.parse(snippet), "m") == {"m.a", "m.b", "m.c", "m.d", "m.E.f"}
