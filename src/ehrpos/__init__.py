@@ -36,11 +36,9 @@ from .ehrhart import (
 from .errors import BudgetExceededError
 from .hstar import hstar, is_real_rooted
 from .matroid import (
-    LinearConstraint,
     SparsePavingMatroid,
     circuit_hyperplane_bound,
     elements_of,
-    facet_description,
     mask_from_elements,
     matroid_from_text,
     matroid_to_text,
@@ -66,7 +64,6 @@ __all__ = [
     "BudgetExceededError",
     "ConstantWeightCode",
     "CounterexampleReport",
-    "LinearConstraint",
     "Polynomial",
     "SparsePavingMatroid",
     "binom_poly",
@@ -82,7 +79,6 @@ __all__ = [
     "ehr_uniform_coeff",
     "elements_of",
     "enumerate_small_matroids",
-    "facet_description",
     "gs_best_class",
     "gs_classes",
     "gs_lower_bound",

@@ -41,6 +41,8 @@ from .ratpoly import (
 )
 
 PROVENANCES = ("gs-bound", "external-table", "user")
+# verify_rank2_inequalities rolls one row of up to n_max + 1 big ints per n
+RANK2_INEQUALITY_MAX_N = 2000
 
 
 def count_points_uniform(k: int, n: int, t: int) -> int:
@@ -396,8 +398,10 @@ def verify_rank2_inequalities(n_max: int) -> bool:
     Rows are rolled three at a time instead of memoizing the triangular
     table, which would be cubic in n_max.
     """
-    if n_max > 2000:
-        raise BudgetExceededError(f"rank-2 inequality check too large: n_max = {n_max} (max 2000)")
+    if n_max > RANK2_INEQUALITY_MAX_N:
+        raise BudgetExceededError(
+            f"rank-2 inequality check too large: n_max = {n_max} (max {RANK2_INEQUALITY_MAX_N})"
+        )
     for m in range(13, n_max + 1):
         if m * m * (m + 1) * (m - 1) > 4 * (2**m - m - 2):
             return False

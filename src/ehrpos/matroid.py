@@ -173,71 +173,6 @@ def rank_of(m: SparsePavingMatroid, a: int) -> int:
     return m.k
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One constraint of the basis polytope at dilation t.
-
-    The left-hand side is sum of x_i over the elements of `mask`; the
-    right-hand side is rhs_coeff * t.  rel is "eq", "le" or "ge"; any other
-    raises ValueError when the constraint is evaluated.
-    """
-
-    mask: int
-    rel: str
-    rhs_coeff: int
-
-    def lhs(self, x: tuple[int, ...]) -> int:
-        """Sum of x_i over the elements of `mask`."""
-        total = 0
-        mask = self.mask
-        i = 0
-        while mask:
-            if mask & 1:
-                total += x[i]
-            mask >>= 1
-            i += 1
-        return total
-
-    def holds(self, x: tuple[int, ...], t: int) -> bool:
-        lhs, rhs = self.lhs(x), self.rhs_coeff * t
-        if self.rel == "eq":
-            return lhs == rhs
-        if self.rel == "le":
-            return lhs <= rhs
-        if self.rel == "ge":
-            return lhs >= rhs
-        raise ValueError(f"unknown relation {self.rel!r}")
-
-    def holds_strict(self, x: tuple[int, ...], t: int) -> bool:
-        """Strict version for interior tests; the equality stays an equality."""
-        lhs, rhs = self.lhs(x), self.rhs_coeff * t
-        if self.rel == "eq":
-            return lhs == rhs
-        if self.rel == "le":
-            return lhs < rhs
-        if self.rel == "ge":
-            return lhs > rhs
-        raise ValueError(f"unknown relation {self.rel!r}")
-
-
-def facet_description(m: SparsePavingMatroid) -> list[LinearConstraint]:
-    """Constraint system of the basis polytope, scaled to dilation t.
-
-    sum x_i = k t; 0 <= x_i <= t per coordinate; sum over H of x_i <= (k-1) t
-    per circuit-hyperplane H.  Exactly 2n + 1 + lambda constraints.
-    """
-    if m.k in (0, m.n):
-        raise ValueError("degenerate polytope (a point)")
-    out = [LinearConstraint(m.full_mask, "eq", m.k)]
-    for i in range(m.n):
-        out.append(LinearConstraint(1 << i, "ge", 0))
-    for i in range(m.n):
-        out.append(LinearConstraint(1 << i, "le", 1))
-    for h in m.circuit_hyperplanes:
-        out.append(LinearConstraint(h, "le", m.k - 1))
-    return out
-
-
 def matroid_to_text(m: SparsePavingMatroid) -> str:
     """Serialize in the matroid text format.
 

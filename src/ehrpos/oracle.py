@@ -2,8 +2,9 @@
 
 Counts integer points of dilated basis polytopes exactly.  It reads
 `m.circuit_hyperplanes` and writes the box, sum and cap constraints out
-itself; `matroid.facet_description` is read only by criterion 9's
-facet/rank check and the tests.  The count is a dynamic program over the
+itself; criterion 9 ties those constraints to the rank-function
+definition of P(M) by counting, at t = 1 and 2, the points that
+`matroid.rank_of` accepts.  The count is a dynamic program over the
 atoms of the matroid (classes of coordinates that lie in the same
 circuit-hyperplanes), placed one circuit-hyperplane at a time.  Its
 states are the circuit-hyperplane slacks, and each state's value packs
@@ -32,6 +33,9 @@ from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 # 4.8 s in all.
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
+# enumerate_small_matroids lists labelled matroids, with no symmetry
+# reduction: 11,672 at n = 7 with 0 < k < 7 and no lambda cap
+ENUMERATION_MAX_N = 7
 
 
 def _compositions(g: int, lo: int, hi: int) -> list[int]:
@@ -172,8 +176,8 @@ def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[Sparse
     the sorted mask tuples (the uniform matroid comes first).  No symmetry
     reduction is applied.
     """
-    if n > 7:
-        raise BudgetExceededError(f"enumeration too large: n = {n} (max 7)")
+    if n > ENUMERATION_MAX_N:
+        raise BudgetExceededError(f"enumeration too large: n = {n} (max {ENUMERATION_MAX_N})")
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got (n, k) = ({n}, {k})")
     masks = list(weight_k_masks(n, k))

@@ -669,11 +669,12 @@ GOLDEN_STDOUT = {
         "fa502373d682780f914ab84f8590e28888c4d3f591a8e160d190a5e93c867ff4",
     ),
     # re-pinned when criterion 2 began to check gs_lower_bound(20, 9),
-    # criterion 11 its two real-rootedness controls, and criterion 10's
-    # detail began to name the two coefficients it computes
+    # criterion 11 its two real-rootedness controls, criterion 10's detail
+    # began to name the two coefficients it computes, and criterion 9 named
+    # its lambda cap and began to check the rank function against the oracle
     "verify-paper": (
         ["verify-paper"],
-        "8f04c027cb9254591bca2255f864dacdb2f749c0dbbed6e21f867e99b39fab7a",
+        "db14bfbd185d0816bc5e8efa38dd24bd2d607ff9b1930a14605baf1a736fed02",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],

@@ -2,19 +2,17 @@ from __future__ import annotations
 
 import ast
 import re
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrpos import matroid
+from ehrpos import matroid, verify
 from ehrpos.matroid import (
-    LinearConstraint,
     SparsePavingMatroid,
     circuit_hyperplane_bound,
     elements_of,
-    facet_description,
     mask_from_elements,
     matroid_from_text,
     matroid_to_text,
@@ -161,73 +159,19 @@ def test_rank_of_rejects_foreign_elements() -> None:
         rank_of(m, 1 << 5)
 
 
-def test_facet_description_shape() -> None:
-    m = validate(6, 3, [mask(1, 2, 3), mask(4, 5, 6)])
-    constraints = facet_description(m)
-    assert len(constraints) == 2 * 6 + 1 + 2
-    eqs = [c for c in constraints if c.rel == "eq"]
-    assert len(eqs) == 1 and eqs[0].mask == m.full_mask and eqs[0].rhs_coeff == 3
-    with pytest.raises(ValueError, match=r"degenerate polytope \(a point\)"):
-        facet_description(validate(4, 0, []))
-    with pytest.raises(ValueError, match=r"degenerate polytope \(a point\)"):
-        facet_description(validate(4, 4, []))
-
-
-def test_facet_points_at_t1_are_bases() -> None:
-    # the only integer points of the undilated polytope are its vertices
+def test_rank_side_points_at_t1_are_bases() -> None:
+    # the only integer points of the undilated polytope are its vertices:
+    # the t = 1 slice points that the rank function accepts
     for n in range(2, 8):
         for k in range(1, n):
+            sl = verify._Slice(n, k, 1)
             for m in enumerate_small_matroids(n, k, 2):
-                constraints = facet_description(m)
-                hits = [
-                    x
-                    for x in product((0, 1), repeat=n)
-                    if all(c.holds(x, 1) for c in constraints)
-                ]
+                rejected = sl.rejected_by_rank(verify._rank_vector(m))
+                hits = [x for p, x in enumerate(sl.points) if not rejected >> p & 1]
                 expected = sorted(
                     tuple((b >> i) & 1 for i in range(n)) for b in all_bases(m)
                 )
                 assert sorted(hits) == expected
-
-
-def test_linear_constraint_strictness() -> None:
-    c_le = next(c for c in facet_description(validate(4, 2, [])) if c.rel == "le")
-    x = (1, 0, 1, 0)
-    assert c_le.holds(x, 1)
-    assert not c_le.holds_strict(x, 1)
-    c_eq = facet_description(validate(4, 2, []))[0]
-    assert c_eq.holds(x, 1) and c_eq.holds_strict(x, 1)
-
-
-def test_linear_constraint_verdicts_against_direct_sums() -> None:
-    compare = {
-        "eq": (lambda a, b: a == b, lambda a, b: a == b),
-        "le": (lambda a, b: a <= b, lambda a, b: a < b),
-        "ge": (lambda a, b: a >= b, lambda a, b: a > b),
-    }
-    for mask in range(1 << 4):
-        for rel, (weak, strict) in compare.items():
-            c = LinearConstraint(mask, rel, 2)
-            for x in product(range(3), repeat=4):
-                direct = sum(x[i] for i in range(4) if mask >> i & 1)
-                assert c.lhs(x) == direct
-                for t in (0, 1, 2):
-                    assert c.holds(x, t) == weak(direct, 2 * t)
-                    assert c.holds_strict(x, t) == strict(direct, 2 * t)
-
-
-def test_linear_constraint_evaluates_only_known_relations() -> None:
-    # x_1 + x_2 = 2 against rhs 1 * t at t = 2: equal, so eq and the weak
-    # inequalities hold and the strict ones do not
-    x = (1, 1)
-    for rel, weak, strict in (("eq", True, True), ("le", True, False), ("ge", True, False)):
-        c = LinearConstraint(0b11, rel, 1)
-        assert (c.holds(x, 2), c.holds_strict(x, 2)) == (weak, strict), rel
-    c = LinearConstraint(0b11, "lt", 1)
-    with pytest.raises(ValueError, match="unknown relation 'lt'"):
-        c.holds(x, 1)
-    with pytest.raises(ValueError, match="unknown relation 'lt'"):
-        c.holds_strict(x, 1)
 
 
 def test_text_round_trip() -> None:

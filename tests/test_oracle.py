@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import time
 from itertools import product
 
@@ -12,10 +13,8 @@ from ehrpos.codes import gs_best_class
 from ehrpos.ehrhart import count_points_uniform, ehr_sparse
 from ehrpos.errors import BudgetExceededError
 from ehrpos.matroid import (
-    LinearConstraint,
     SparsePavingMatroid,
     circuit_hyperplane_bound,
-    facet_description,
     mask_from_elements,
     validate,
 )
@@ -62,31 +61,31 @@ def dfs_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     return rec(0, k * t)
 
 
-def holds_all(
-    constraints: list[LinearConstraint], x: tuple[int, ...], t: int, *, interior: bool
-) -> bool:
-    if interior:
-        return all(c.holds_strict(x, t) for c in constraints)
-    return all(c.holds(x, t) for c in constraints)
-
-
 def point_in_dilate(
     m: SparsePavingMatroid, x: tuple[int, ...], t: int, *, interior: bool = False
 ) -> bool:
-    """Membership of x in t * P(M) (or its relative interior), evaluated
-    directly from the facet description."""
+    """Membership of x in t * P(M), or in its relative interior, from the
+    definition: 0 <= x_i <= t, sum x = k t and x(H) <= (k - 1) t per
+    circuit-hyperplane H.  The interior makes each inequality strict and
+    keeps the sum."""
     if len(x) != m.n:
         raise ValueError("point has wrong dimension")
-    return holds_all(facet_description(m), x, t, interior=interior)
+    below = operator.lt if interior else operator.le
+    return (
+        all(below(0, xi) and below(xi, t) for xi in x)
+        and sum(x) == m.k * t
+        and all(
+            below(sum(xi for i, xi in enumerate(x) if h >> i & 1), (m.k - 1) * t)
+            for h in m.circuit_hyperplanes
+        )
+    )
 
 
 def box_count(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     """Reference route: every point of the box [0, t]^n, kept when the
-    facet description admits it.  The description is built once."""
-    constraints = facet_description(m)
+    definition admits it."""
     return sum(
-        holds_all(constraints, x, t, interior=interior)
-        for x in product(range(t + 1), repeat=m.n)
+        point_in_dilate(m, x, t, interior=interior) for x in product(range(t + 1), repeat=m.n)
     )
 
 
@@ -103,6 +102,11 @@ def test_oracle_count_examples() -> None:
     assert oracle_count(m, 1) == 4
     for any_m in (uniform(2, 5), m, validate(6, 3, [0b000111])):
         assert oracle_count(any_m, 0) == 1
+
+
+def test_enumeration_budget() -> None:
+    with pytest.raises(BudgetExceededError, match=r"enumeration too large: n = 8 \(max 7\)"):
+        next(enumerate_small_matroids(8, 4, 0))
 
 
 def test_oracle_interior_examples() -> None:

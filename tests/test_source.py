@@ -274,7 +274,6 @@ def _uncalled(trees: list[ast.Module]) -> list[str]:
 # stays; an entry goes once its function is read or deleted
 UNCALLED = {
     "_Parser.error": "argparse calls it on a bad argument",
-    "LinearConstraint.holds_strict": "the interior reference of tests/test_oracle.py",
     "poly_shift": "spanned by perfbench/spans.py until ROADMAP item 1",
     "binom_poly": "spanned by perfbench/spans.py until ROADMAP item 1",
     "gs_classes": "spanned by perfbench/spans.py until ROADMAP item 1",
@@ -358,3 +357,62 @@ def test_cache_check_catches_every_form() -> None:
         "def h(): pass\n"
     )
     assert _cached(ast.parse(snippet), "m") == {"m.a", "m.b", "m.c", "m.d", "m.E.f"}
+
+
+def _unnamed_budgets(tree: ast.Module) -> list[int]:
+    """Lines that raise BudgetExceededError outside every `if` whose test
+    reads an UPPER_CASE name the module assigns at its top level."""
+    constants = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    found = []
+
+    def visit(node: ast.AST, guarded: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and not guarded:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "BudgetExceededError":
+                    found.append(child.lineno)
+            reads = (
+                {n.id for n in ast.walk(child.test) if isinstance(n, ast.Name)}
+                if isinstance(child, ast.If)
+                else set()
+            )
+            visit(child, guarded or bool(reads & constants))
+
+    visit(tree, False)
+    return found
+
+
+def test_every_budget_is_a_named_constant() -> None:
+    # a budget that a raise compares against a bare literal cannot be found,
+    # reported or re-sized in one place
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PROGRAM_FILES}
+    assert {name: lines for name, tree in trees.items() if (lines := _unnamed_budgets(tree))} == {}
+    # the check sees every budget: four in cli, one each in codes and
+    # ehrhart, two in oracle
+    assert sum(p.read_text().count("raise BudgetExceededError(") for p in PROGRAM_FILES) == 8
+
+
+def test_budget_check_catches_a_literal() -> None:
+    snippet = (
+        "MAX_N = 7\n"
+        "def f(n, limit):\n"
+        "    LOCAL_MAX = 3\n"
+        "    if n > MAX_N:\n"
+        "        raise BudgetExceededError(f'n = {n} (max {MAX_N})')\n"
+        "    if n > 7:\n"
+        "        raise BudgetExceededError('n too large (max 7)')\n"
+        "    if n > limit:\n"
+        "        raise BudgetExceededError\n"
+        "    if n > LOCAL_MAX:\n"
+        "        raise BudgetExceededError('local')\n"
+        "    if n < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    raise BudgetExceededError('always')\n"
+    )
+    assert _unnamed_budgets(ast.parse(snippet)) == [7, 9, 11, 14]

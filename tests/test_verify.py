@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from ehrpos import verify
-from ehrpos.matroid import facet_description, rank_of
+from ehrpos.matroid import rank_of
 from ehrpos.oracle import enumerate_small_matroids, oracle_count
 from ehrpos.ratpoly import Polynomial
 
@@ -15,7 +15,7 @@ def small_matroids():
     """The 502 matroids that criterion 9 certifies."""
     for n in range(2, 7):
         for k in range(1, n):
-            yield from enumerate_small_matroids(n, k, 3)
+            yield from enumerate_small_matroids(n, k, verify.CRITERION_9_LAMBDA_MAX)
 
 
 def _by_nk() -> dict[tuple[int, int], list]:
@@ -26,21 +26,9 @@ def _by_nk() -> dict[tuple[int, int], list]:
     return out
 
 
-def per_subset_agree(m, t: int) -> bool:
-    """Reference route: sum x again over every subset mask at every point."""
-    constraints = facet_description(m)
-    subsets = list(range(1, 1 << m.n))
-    for x in product(range(t + 1), repeat=m.n):
-        if sum(x) != m.k * t:
-            continue
-        by_facets = all(c.holds(x, t) for c in constraints)
-        by_rank = all(
-            sum(x[i] for i in range(m.n) if a >> i & 1) <= t * rank_of(m, a)
-            for a in subsets
-        )
-        if by_facets != by_rank:
-            return False
-    return True
+def rank_accepted(sl: verify._Slice, m) -> int:
+    """Fast path: the slice points that the rank table does not reject."""
+    return len(sl.points) - sl.rejected_by_rank(verify._rank_vector(m)).bit_count()
 
 
 def test_subset_sums_against_brute_force() -> None:
@@ -53,54 +41,50 @@ def test_subset_sums_against_brute_force() -> None:
 
 
 def test_facet_rank_fast_path_matches_per_subset_route() -> None:
-    # one slice per (n, k, t), shared by the matroids as in criterion 9
+    # one slice per (n, k, t), shared by the matroids as in criterion 9; the
+    # reference sums x again over every mask at every point
     by_nk = _by_nk()
     assert sum(map(len, by_nk.values())) == 502
     for (n, k), matroids in by_nk.items():
-        slices = [verify._Slice(n, k, t) for t in (1, 2)]
-        for m in matroids:
-            facets, ranks = facet_description(m), verify._rank_vector(m)
-            for sl in slices:
-                assert sl.agree(facets, ranks) == per_subset_agree(m, sl.t), (m, sl.t)
-
-
-def test_facet_rank_check_catches_a_wrong_rank(monkeypatch) -> None:
-    # a circuit-hyperplane H has rank k - 1; calling it a basis lets the
-    # rank side accept the vertex 1_H, which the facet H <= (k - 1) t cuts off
-    m = next(m for m in enumerate_small_matroids(6, 3, 1) if m.lam == 1)
-    h = m.circuit_hyperplanes[0]
-    facets = facet_description(m)
-    assert verify._Slice(6, 3, 1).agree(facets, verify._rank_vector(m))
-    monkeypatch.setattr(verify, "rank_of", lambda mm, a: mm.k if a == h else rank_of(mm, a))
-    ranks = verify._rank_vector(m)
-    assert verify._Slice(6, 3, 1).agree(facets, ranks) is False
-    assert verify._Slice(6, 3, 2).agree(facets, ranks) is False
-
-
-def test_facet_rank_check_catches_a_missing_facet(monkeypatch) -> None:
-    # without its circuit-hyperplane constraint the facet side accepts the
-    # vertex 1_H, which the rank bound rank(H) = k - 1 still cuts off
-    m = next(m for m in enumerate_small_matroids(6, 3, 1) if m.lam == 1)
-    ranks = verify._rank_vector(m)
-    assert verify._Slice(6, 3, 1).agree(facet_description(m), ranks)
-    monkeypatch.setattr(
-        verify, "facet_description", lambda mm: facet_description(mm)[: -1 if mm.lam else None]
-    )
-    assert verify._Slice(6, 3, 1).agree(verify.facet_description(m), ranks) is False
-    ok, detail = verify.check_oracle_certification()
-    assert ok is False
-    assert detail.startswith("facet/rank description mismatch at ")
+        for t in (1, 2):
+            sl = verify._Slice(n, k, t)
+            masks = range(1, 1 << n)
+            sums = [[sum(x[i] for i in range(n) if a >> i & 1) for a in masks] for x in sl.points]
+            for m in matroids:
+                caps = [t * rank_of(m, a) for a in masks]
+                reference = sum(all(s <= c for s, c in zip(row, caps)) for row in sums)
+                assert rank_accepted(sl, m) == reference, (m, sl.t)
 
 
 def test_facet_side_accepts_exactly_the_oracle_count() -> None:
-    # ties the shared tables to the lattice-point oracle: the slice points
-    # that no facet rejects are the lattice points of the t-th dilate
+    # ties the rank table to the lattice-point oracle: the slice points that
+    # the rank side accepts, and those that pass each circuit-hyperplane
+    # facet x(H) <= (k - 1) t, are the lattice points of the t-th dilate
     for (n, k), matroids in _by_nk().items():
         for t in (1, 2):
             sl = verify._Slice(n, k, t)
             for m in matroids:
-                accepted = len(sl.points) - sl.rejected_by_facets(facet_description(m)).bit_count()
-                assert accepted == oracle_count(m, t), (m, t)
+                cap = (k - 1) * t
+                by_facets = sum(
+                    all(sum(x[i] for i in range(n) if h >> i & 1) <= cap for h in m.circuit_hyperplanes)
+                    for x in sl.points
+                )
+                assert rank_accepted(sl, m) == by_facets == oracle_count(m, t), (m, t)
+
+
+def test_facet_rank_check_catches_a_wrong_rank(monkeypatch) -> None:
+    # a circuit-hyperplane H has rank k - 1; calling it a basis lets the
+    # rank side accept the vertex 1_H at t = 1, which the oracle's cap cuts off
+    m = next(m for m in enumerate_small_matroids(6, 3, 1) if m.lam == 1)
+    h = m.circuit_hyperplanes[0]
+    sl = verify._Slice(6, 3, 1)
+    before = sl.rejected_by_rank(verify._rank_vector(m))
+    monkeypatch.setattr(verify, "rank_of", lambda mm, a: mm.k if a == h else rank_of(mm, a))
+    after = sl.rejected_by_rank(verify._rank_vector(m))
+    gained = [x for p, x in enumerate(sl.points) if (before & ~after) >> p & 1]
+    assert gained == [tuple(h >> i & 1 for i in range(6))]
+    for t in (1, 2):
+        assert rank_accepted(verify._Slice(6, 3, t), m) > oracle_count(m, t)
 
 
 @pytest.mark.parametrize("wrong", [-1, 4])
@@ -112,10 +96,11 @@ def test_out_of_range_rank_raises(monkeypatch, wrong: int) -> None:
 
 
 def test_criterion_9_builds_each_value_once(monkeypatch) -> None:
-    # per matroid one facet description and one rank vector (2^n masks),
-    # per (n, k, lambda) one polynomial, per (matroid, t) one oracle count
+    # per matroid one rank vector (2^n masks), per (n, k, lambda) one
+    # polynomial, per (matroid, t) one oracle count, which the rank clause
+    # at t = 1, 2 reuses
     calls: Counter[str] = Counter()
-    for name in ("rank_of", "facet_description", "ehr_sparse", "oracle_count", "oracle_interior_count"):
+    for name in ("rank_of", "ehr_sparse", "oracle_count", "oracle_interior_count"):
 
         def counted(*args, _real=getattr(verify, name), _name=name):
             calls[_name] += 1
@@ -127,7 +112,6 @@ def test_criterion_9_builds_each_value_once(monkeypatch) -> None:
     assert len({(m.n, m.k, m.lam) for m in small_matroids()}) == 39
     assert calls == {
         "rank_of": 28492,
-        "facet_description": 502,
         "ehr_sparse": 39,
         "oracle_count": 2510,
         "oracle_interior_count": 2008,
@@ -172,13 +156,29 @@ def _corrupt_one_rank(monkeypatch) -> str:
     monkeypatch.setattr(
         verify, "rank_of", lambda m, a: m.k if m == LAST_6_3 and a == h else rank_of(m, a)
     )
-    return f"facet/rank description mismatch at {LAST_6_3}, t = 1"
+    return f"rank/oracle count mismatch at {LAST_6_3}, t = 1"
+
+
+def _corrupt_oracle_at_t1(monkeypatch) -> str:
+    # the rank clause compares with the same count, but the closed-count
+    # clause runs first and names the fault
+    real = verify.oracle_count
+    monkeypatch.setattr(
+        verify, "oracle_count", lambda m, t: real(m, t) + (m == FIRST_6_3_LAMBDA_2 and t == 1)
+    )
+    return f"count mismatch at {FIRST_6_3_LAMBDA_2}, t = 1"
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_corrupt_closed_count, _corrupt_interior_count, _corrupt_one_lambda, _corrupt_one_rank],
-    ids=["closed-count", "interior-count", "one-lambda", "one-rank"],
+    [
+        _corrupt_closed_count,
+        _corrupt_interior_count,
+        _corrupt_one_lambda,
+        _corrupt_one_rank,
+        _corrupt_oracle_at_t1,
+    ],
+    ids=["closed-count", "interior-count", "one-lambda", "one-rank", "oracle-at-t1"],
 )
 def test_criterion_9_catches_a_fault_at_one_matroid(corrupt, monkeypatch) -> None:
     detail = corrupt(monkeypatch)
