@@ -19,16 +19,14 @@ no cache.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
-function) and exact harmonic numbers.  The harmonic values are memoized in
-growing tables because coefficient bounds re-read them heavily; table
-growth is lock-guarded so concurrent readers only ever see fully built
-entries.
+function) and exact harmonic numbers.  A harmonic number is summed on
+each call by binary splitting and reduced by one final gcd; nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -199,32 +197,26 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_harmonic_vals: list[Fraction] = [Fraction(0)]
-_harmonic2_vals: list[Fraction] = [Fraction(0)]
-_harmonic_lock = threading.Lock()
-
-
-def _partial_sum(vals: list[Fraction], n: int, power: int) -> Fraction:
-    """vals[n] = sum of 1/j**power for 1 <= j <= n, growing the table
-    vals as needed; 0 for n <= 0."""
-    if n <= 0:
-        return Fraction(0)
-    if n >= len(vals):
-        with _harmonic_lock:
-            while len(vals) <= n:
-                j = len(vals)
-                vals.append(vals[j - 1] + Fraction(1, j**power))
-    return vals[n]
+def _power_sum(a: int, b: int, s: int) -> tuple[int, int]:
+    """(p, q) with p/q = sum of 1/j**s for a <= j < b, a < b, by binary
+    splitting: the two halves' sums p1/q1 + p2/q2 = (p1 q2 + p2 q1)/(q1 q2),
+    so the operands of each product stay balanced and no gcd is taken."""
+    if b - a == 1:
+        return 1, a**s
+    m = (a + b) // 2
+    p1, q1 = _power_sum(a, m, s)
+    p2, q2 = _power_sum(m, b, s)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n exactly; H_0 = 0."""
-    return _partial_sum(_harmonic_vals, n, 1)
+    return Fraction(*_power_sum(1, n + 1, 1)) if n > 0 else Fraction(0)
 
 
 def harmonic2(n: int) -> Fraction:
     """Second-order harmonic number H_n^(2) = sum of 1/i**2 for i <= n."""
-    return _partial_sum(_harmonic2_vals, n, 2)
+    return Fraction(*_power_sum(1, n + 1, 2)) if n > 0 else Fraction(0)
 
 
 def binom_poly(a: int, b: int) -> Polynomial:

@@ -7,7 +7,7 @@ as a fail; the command line front end runs the entries in order and
 prints a pass/fail table, and the acceptance tests run each the same way.
 
 The rank-3 threshold check reads a single coefficient of a degree-3588
-polynomial from Katzman's formula (about 0.1 s) instead of building it.
+polynomial from Katzman's formula (about 0.05 s) instead of building it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .ehrhart import (
     ehr_uniform_coeff,
     quad_coeff_minimal_shifted,
     rank2_poly,
+    upper_bound_quad_uniform,
     verify_rank2_inequalities,
 )
 from .hstar import hstar, is_real_rooted
@@ -48,6 +49,14 @@ LAMBDA_18_9_TABLE = 3540
 RANK3_INEQUALITY_N = 10439
 STRONG9_THRESHOLD_N = 55
 RANK3_CONSTRUCTION_N = 3589
+# C(4, 2) H_9^2: criterion 8 reads it through ehrhart's harmonic binding,
+# the one its thresholds read, so a wrong harmonic number fails the criterion.
+UPPER_BOUND_QUAD_3_10 = Fraction(50822641, 1058400)
+# Criterion 5 takes the capped (k, n) with 1 <= k <= n for n in the first
+# range, criterion 6 the rank-2 polynomials for n in the second, and
+# criterion 11 the h*-vectors of both.
+CAPPED_N_RANGE = range(1, 18)
+RANK2_N_RANGE = range(3, 151)
 # Criterion 9 enumerates the matroids with n <= 6 and at most this many
 # circuit-hyperplanes: 502 of the 532 with n <= 6, all but the (6, 3)
 # matroids with lambda = 4.
@@ -76,10 +85,10 @@ def _emitted_polynomials() -> Iterator[tuple[str, Polynomial]]:
     yield "sparse(19,9,6726)", ehr_sparse(19, 9, LAMBDA_19_9_TABLE)
     yield "sparse(18,9,4240)", ehr_sparse(18, 9, LAMBDA_18_9_HYPOTHETICAL)
     yield "sparse(18,9,3540)", ehr_sparse(18, 9, LAMBDA_18_9_TABLE)
-    for n in range(1, 18):
+    for n in CAPPED_N_RANGE:
         for k in range(1, n + 1):
             yield f"capped({k},{n})", _capped_poly(k, n)
-    for n in range(3, 151):
+    for n in RANK2_N_RANGE:
         yield f"rank2({n})", rank2_poly(n)
     lam22 = gs_lower_bound(22, 7)
     yield f"sparse(22,7,{lam22})", ehr_sparse(22, 7, lam22)
@@ -139,7 +148,7 @@ def check_remark_18() -> tuple[bool, str]:
 
 
 def check_rank_bound_positivity_17() -> tuple[bool, str]:
-    pairs = [(k, n) for n in range(1, 18) for k in range(1, n + 1)]
+    pairs = [(k, n) for n in CAPPED_N_RANGE for k in range(1, n + 1)]
     bad = [(k, n) for k, n in pairs if any(c <= 0 for c in _capped_poly(k, n).nums)]
     if not bad:
         return True, f"all {len(pairs)} capped polynomials positive (violations: [])"
@@ -150,10 +159,11 @@ def check_rank_bound_positivity_17() -> tuple[bool, str]:
 
 
 def check_rank2_positivity() -> tuple[bool, str]:
-    bad = [n for n in range(3, 151) if any(c <= 0 for c in rank2_poly(n).nums)]
-    inequalities = verify_rank2_inequalities(150)
+    top = RANK2_N_RANGE[-1]
+    bad = [n for n in RANK2_N_RANGE if any(c <= 0 for c in rank2_poly(n).nums)]
+    inequalities = verify_rank2_inequalities(top)
     ok = not bad and inequalities
-    return ok, f"positivity violations: {bad}; stirling inequalities up to 150: {inequalities}"
+    return ok, f"positivity violations: {bad}; stirling inequalities up to {top}: {inequalities}"
 
 
 def check_cubic_only_22_7() -> tuple[bool, str]:
@@ -167,12 +177,14 @@ def check_inequality_thresholds() -> tuple[bool, str]:
     at_threshold = counterexample_inequality(3, RANK3_INEQUALITY_N)
     below = counterexample_inequality(3, RANK3_INEQUALITY_N - 1)
     strong = counterexample_inequality_strong9(STRONG9_THRESHOLD_N)
+    bound = upper_bound_quad_uniform(3, 10)
     detail = (
         f"harmonic inequality at (3, {RANK3_INEQUALITY_N}): {at_threshold}; "
         f"at (3, {RANK3_INEQUALITY_N - 1}): {below} (recorded, no claim checked); "
-        f"strong variant at n = {STRONG9_THRESHOLD_N}: {strong}"
+        f"strong variant at n = {STRONG9_THRESHOLD_N}: {strong}; "
+        f"upper_bound_quad_uniform(3, 10) = {bound}"
     )
-    return at_threshold and strong, detail
+    return at_threshold and strong and bound == UPPER_BOUND_QUAD_3_10, detail
 
 
 def check_oracle_certification() -> tuple[bool, str]:
@@ -304,13 +316,21 @@ def check_hstar_sanity() -> tuple[bool, str]:
     )
 
 
-CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
+CHECKS: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (1, "golden counterexample at (20, 9, 8398)", check_golden_counterexample),
     (2, "residue classes and distance validation at (20, 9)", check_residue_classes_20_9),
     (3, "negative coefficient at (19, 9, 6726)", check_counterexample_19),
     (4, "negative cubic at (18, 9, 4240); (18, 9, 3540) recorded", check_remark_18),
-    (5, "positivity at the packing bound for n <= 17", check_rank_bound_positivity_17),
-    (6, "rank-2 positivity and stirling inequalities to 150", check_rank2_positivity),
+    (
+        5,
+        f"positivity at the packing bound for n <= {CAPPED_N_RANGE[-1]}",
+        check_rank_bound_positivity_17,
+    ),
+    (
+        6,
+        f"rank-2 positivity and stirling inequalities to {RANK2_N_RANGE[-1]}",
+        check_rank2_positivity,
+    ),
     (7, "only the cubic negative at (22, 7, gs bound)", check_cubic_only_22_7),
     (8, "harmonic inequality thresholds", check_inequality_thresholds),
     (
@@ -320,7 +340,7 @@ CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     ),
     (10, "rank-3 threshold n = 3589", check_rank3_threshold),
     (11, "h* integrality, nonnegativity, real-rootedness", check_hstar_sanity),
-]
+)
 
 
 def run_check(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -546,8 +548,12 @@ def test_entry_point_determinism() -> None:
         sys.executable, "-m", "ehrpos.cli", "search",
         "--n-range", "10:12", "--k-range", "2:4", "--format", "csv",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    # the package under test comes first, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.count(b"\n") == 10
 
@@ -635,6 +641,23 @@ def test_code_refuses_ground_set_before_any_table(n: int, capsys, monkeypatch) -
     assert captured.err == f"error: ground set size n={n} outside 1..64\n"
 
 
+@pytest.mark.parametrize("n, k", [(5, 0), (3, 3), (1, 1)])
+def test_code_refuses_a_degenerate_rank(n: int, k: int, tmp_path, capsys, monkeypatch) -> None:
+    # at k = 0 or n no nonempty circuit-hyperplane family exists
+    def refuse(*args):
+        raise AssertionError("the words were enumerated")
+
+    monkeypatch.setattr(cli, "gs_partition", refuse)
+    code = cli.main(["code", "--n", str(n), "--k", str(k), "--output", str(tmp_path / "c.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: need 1 <= k <= n - 1 for a circuit-hyperplane code, got (n, k) = ({n}, {k})\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of stdout, each recorded before a change that had to keep it
 # byte-identical: the entries up to "bounds" before the polynomial kernels
 # moved to integer arithmetic or the oracle became a dynamic program, the
@@ -671,10 +694,11 @@ GOLDEN_STDOUT = {
     # re-pinned when criterion 2 began to check gs_lower_bound(20, 9),
     # criterion 11 its two real-rootedness controls, criterion 10's detail
     # began to name the two coefficients it computes, and criterion 9 named
-    # its lambda cap and began to check the rank function against the oracle
+    # its lambda cap and began to check the rank function against the oracle,
+    # and criterion 8 began to print and check upper_bound_quad_uniform(3, 10)
     "verify-paper": (
         ["verify-paper"],
-        "db14bfbd185d0816bc5e8efa38dd24bd2d607ff9b1930a14605baf1a736fed02",
+        "fe2e53a0ebdb7b0f56f7e927f0fe882c51a5556fe016739de130fcdc94ed6f5b",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],

@@ -293,7 +293,7 @@ def test_counterexample_inequality_known_points() -> None:
 def test_counterexample_inequality_thresholds() -> None:
     for k, n0 in INEQUALITY_THRESHOLDS.items():
         if k == 3:
-            continue  # covered above; the harmonic cache to 10439 is enough
+            continue  # covered above, at n = 10438 and 10439
         assert not counterexample_inequality(k, n0 - 1)
         assert counterexample_inequality(k, n0)
         assert counterexample_inequality(k, n0 + 1)

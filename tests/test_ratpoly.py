@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ehrpos import ratpoly
 from ehrpos.ratpoly import (
     Polynomial,
     binom_poly,
@@ -90,22 +89,26 @@ def test_harmonic_values() -> None:
     assert harmonic(4) == Fraction(25, 12)
     assert harmonic2(0) == 0
     assert harmonic2(3) == Fraction(49, 36)
+    assert harmonic(-3) == harmonic2(-1) == 0
     # second-order series is the square sum, first-order the plain sum
     assert harmonic(100) == sum(Fraction(1, i) for i in range(1, 101))
     assert harmonic2(60) == sum(Fraction(1, i * i) for i in range(1, 61))
 
 
-def test_harmonic_tables_match_direct_sums() -> None:
-    # grow the second-order table past the first-order one, then read the
-    # first-order table past its end: each table grows on its own
-    top = max(300, len(ratpoly._harmonic_vals), len(ratpoly._harmonic2_vals)) + 20
-    assert harmonic2(top) == sum(Fraction(1, i * i) for i in range(1, top + 1))
-    assert harmonic(top) == sum(Fraction(1, i) for i in range(1, top + 1))
+def test_harmonic_matches_running_sums() -> None:
+    # every n to 300 crosses each split boundary of the binary splitting
     h = h2 = Fraction(0)
     for n in range(301):
         assert (harmonic(n), harmonic2(n)) == (h, h2)
         h += Fraction(1, n + 1)
         h2 += Fraction(1, (n + 1) ** 2)
+
+
+def test_harmonic_at_the_rank3_threshold() -> None:
+    # criterion 8 reads H_10438, the largest index the program sums
+    n = 10438
+    assert harmonic(n) == sum(Fraction(1, j) for j in range(1, n + 1))
+    assert harmonic2(n) == sum(Fraction(1, j * j) for j in range(1, n + 1))
 
 
 def test_binom_poly_examples() -> None:

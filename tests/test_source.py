@@ -306,9 +306,9 @@ def test_uncalled_check_catches_a_helper() -> None:
 
 
 # the caches that outlive a call: each decorator of functools.cache,
-# lru_cache or cached_property in the package.  ratpoly's growing
-# harmonic tables (_harmonic_vals, _harmonic2_vals) are the one other
-# cross-call memory; a new cache has to change this pin
+# lru_cache or cached_property in the package.  With the module-state
+# check below, which rules out a mutable module binding, these are every
+# memory that outlives a call; a new cache has to change this pin
 CACHED = {
     "ehrhart.ehr_uniform",
     "ehrhart.ehr_minimal_shifted",
@@ -357,6 +357,77 @@ def test_cache_check_catches_every_form() -> None:
         "def h(): pass\n"
     )
     assert _cached(ast.parse(snippet), "m") == {"m.a", "m.b", "m.c", "m.d", "m.E.f"}
+
+
+# what a module binding must not be: a mutable container, a generator or a lock
+STATE_VALUES = (
+    ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp, ast.GeneratorExp
+)
+STATE_CALLS = {"list", "dict", "set", "Lock", "RLock"}
+
+
+def _module_state(tree: ast.Module) -> list[str]:
+    """Top-level names, `__all__` aside, bound to a list, dict or set
+    display, a comprehension or a generator, or a call of list, dict, set,
+    threading.Lock or threading.RLock."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        func = value.func if isinstance(value, ast.Call) else None
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(value, STATE_VALUES) or called in STATE_CALLS:
+            found += [
+                f"{node.id} (line {stmt.lineno})"
+                for target in targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name) and node.id != "__all__"
+            ]
+    return found
+
+
+def test_src_holds_no_module_state() -> None:
+    # a mutable module binding keeps memory from one call to the next, out
+    # of every cache pin; constants are ints, Fractions, tuples and ranges
+    found = {
+        path.name: state
+        for path in PROGRAM_FILES
+        if (state := _module_state(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {}
+
+
+def test_module_state_check_catches_every_form() -> None:
+    snippet = (
+        "__all__ = ['f']\n"
+        "A = [1]\n"
+        "B: dict[str, int] = {}\n"
+        "C = {1, 2}\n"
+        "D = [x for x in range(3)]\n"
+        "E = {x: x for x in range(3)}\n"
+        "F = {x for x in range(3)}\n"
+        "G = (x for x in range(3))\n"
+        "H = list(range(3))\n"
+        "I = J = dict()\n"
+        "K = set()\n"
+        "L = threading.Lock()\n"
+        "M = threading.RLock()\n"
+        "N = (1, 2)\n"
+        "O = frozenset({1})\n"
+        "P = dict[int, list[int]]\n"
+        "Q: list[int]\n"
+        "def f():\n"
+        "    local = []\n"
+    )
+    assert _module_state(ast.parse(snippet)) == [
+        "A (line 2)", "B (line 3)", "C (line 4)", "D (line 5)", "E (line 6)",
+        "F (line 7)", "G (line 8)", "H (line 9)", "I (line 10)", "J (line 10)",
+        "K (line 11)", "L (line 12)", "M (line 13)",
+    ]
 
 
 def _unnamed_budgets(tree: ast.Module) -> list[int]:

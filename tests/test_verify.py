@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from ehrpos import verify
+from ehrpos import ehrhart, verify
 from ehrpos.matroid import rank_of
 from ehrpos.oracle import enumerate_small_matroids, oracle_count
 from ehrpos.ratpoly import Polynomial
@@ -199,14 +200,18 @@ def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize(
-    "kernel, corrupt, criterion",
+    "module, kernel, corrupt, criterion",
     [
-        ("is_real_rooted", lambda real: lambda coeffs: True, 11),
-        ("gs_lower_bound", lambda real: lambda n, k: real(n, k) - 1, 2),
+        (verify, "is_real_rooted", lambda real: lambda coeffs: True, 11),
+        (verify, "gs_lower_bound", lambda real: lambda n, k: real(n, k) - 1, 2),
+        # too small to move a threshold; the thresholds read ehrhart's binding
+        (ehrhart, "harmonic", lambda real: lambda n: real(n) + Fraction(1, 10**12), 8),
     ],
-    ids=["is_real_rooted-always-true", "gs_lower_bound-minus-one"],
+    ids=["is_real_rooted-always-true", "gs_lower_bound-minus-one", "harmonic-plus-1e-12"],
 )
-def test_corrupted_kernel_fails_its_criterion(kernel, corrupt, criterion, monkeypatch) -> None:
-    monkeypatch.setattr(verify, kernel, corrupt(getattr(verify, kernel)))
+def test_corrupted_kernel_fails_its_criterion(
+    module, kernel, corrupt, criterion, monkeypatch
+) -> None:
+    monkeypatch.setattr(module, kernel, corrupt(getattr(module, kernel)))
     _, name, fn = next(c for c in verify.CHECKS if c[0] == criterion)
     assert verify.run_check(criterion, name, fn).status == "fail"
