@@ -336,10 +336,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     failures = 0
-    for check in CHECKS:
-        res = run_check(*check)
-        print(f"{res.status.upper()} criterion {res.criterion:2d}: {res.name} :: {res.detail}")
-        if res.status == "fail":
+    for criterion, name, fn in CHECKS:
+        ok, detail = run_check(fn)
+        print(f"{'PASS' if ok else 'FAIL'} criterion {criterion:2d}: {name} :: {detail}")
+        if not ok:
             failures += 1
     print(f"{failures} criterion(s) failed" if failures else "all criteria passed")
     return 3 if failures else 0

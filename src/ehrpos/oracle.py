@@ -4,8 +4,9 @@ Counts integer points of dilated basis polytopes exactly.  It reads
 `m.circuit_hyperplanes` and writes the box, sum and cap constraints out
 itself; criterion 9 ties those constraints to the rank-function
 definition of P(M) by counting, at t = 1 and 2, the points that
-`matroid.rank_of` accepts.  The count is a dynamic program over the
-atoms of the matroid (classes of coordinates that lie in the same
+`matroid.rank_of` accepts.  The interior count is the closed count of a
+shrunk box.  The count is a dynamic program over the atoms of the
+matroid (classes of coordinates that lie in the same
 circuit-hyperplanes), placed one circuit-hyperplane at a time.  Its
 states are the circuit-hyperplane slacks, and each state's value packs
 the counts of every remaining sum into the digits of one int.  It uses
@@ -25,12 +26,12 @@ from .matroid import SparsePavingMatroid, circuit_hyperplane_bound
 
 # Count time grows with the number of circuit-hyperplanes, which these
 # budgets do not bound.  At n = ORACLE_MAX_N, t = ORACLE_MAX_T, on a
-# 2-core machine, the closed count takes about 1.6 s for the 26 of
-# gs_best_class(10, 5) and about 3.2 s for a (10, 5) family of 36, the
-# most any valid input at n = 10 has (A(10, 4, 5) = 36; the blocks of the
-# Steiner system S(4, 5, 11) that miss one point); the interior count
-# takes about 0.015 s, and `ehrpos oracle --t-max 6` on that family about
-# 4.8 s in all.
+# 2-core machine with Python 3.11 (best of 3), the closed count takes
+# about 2.6 s for the 26 of gs_best_class(10, 5) and about 5.2 s for a
+# (10, 5) family of 36, the most any valid input at n = 10 has
+# (A(10, 4, 5) = 36; the blocks of the Steiner system S(4, 5, 11) that
+# miss one point); the interior count takes about 0.011 and 0.016 s, and
+# `ehrpos oracle --t-max 6` on the family of 36 about 7.8 s in all.
 ORACLE_MAX_N = 10
 ORACLE_MAX_T = 6
 # enumerate_small_matroids lists labelled matroids, with no symmetry
@@ -38,28 +39,29 @@ ORACLE_MAX_T = 6
 ENUMERATION_MAX_N = 7
 
 
-def _compositions(g: int, lo: int, hi: int) -> list[int]:
-    """ways[s] for s in 0..g*hi: the number of (y_1..y_g) in [lo, hi]^g
-    with sum s (0 below g*lo).
+def _compositions(g: int, hi: int) -> list[int]:
+    """ways[s] for s in 0..g*hi: the number of (y_1..y_g) in [0, hi]^g
+    with sum s.
 
-    One packed power: with span = hi - lo + 1, the digits of
-    (sum_{i < span} 2**(i*w))**g in base 2**w count the tuples of
-    [0, span - 1]^g by their sum, shifted down by g*lo.  A digit is at most
-    span**g < 2**(w - 1), so no digit carries.
+    One packed power: the digits of (sum_{i <= hi} 2**(i*w))**g in base
+    2**w count the tuples of [0, hi]^g by their sum.  A digit is at most
+    (hi + 1)**g < 2**(w - 1), so no digit carries.
     """
-    span = hi - lo + 1
-    w = (span**g).bit_length() + 1
-    packed = sum(1 << (i * w) for i in range(span)) ** g
+    w = ((hi + 1) ** g).bit_length() + 1
+    packed = sum(1 << (i * w) for i in range(hi + 1)) ** g
     mask = (1 << w) - 1
-    return [0] * (g * lo) + [packed >> (s * w) & mask for s in range(g * (span - 1) + 1)]
+    return [packed >> (s * w) & mask for s in range(g * hi + 1)]
 
 
-def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
-    """Exact count by a dynamic program over the atoms of m: the classes of
-    coordinates that lie in the same circuit-hyperplanes.  Coordinates of
-    one atom are interchangeable, so an atom of g coordinates places one
-    sum s in [g*lo, g*hi], in ways[s] = _compositions(g, lo, hi)[s] ways;
-    one table serves every atom of that size.
+def _count_points(m: SparsePavingMatroid, hi: int, total: int, cap: int) -> int:
+    """The number of integer y in [0, hi]^n with sum y_i = total and
+    y(H) <= cap for every circuit-hyperplane H of m, for hi, total >= 0.
+
+    A dynamic program over the atoms of m: the classes of coordinates that
+    lie in the same circuit-hyperplanes.  Coordinates of one atom are
+    interchangeable, so an atom of g coordinates places one sum s in
+    [0, g*hi], in ways[s] = _compositions(g, hi)[s] ways; one table serves
+    every atom of that size.
 
     Atoms are placed in sorted order of their hyperplane-index tuples: the
     free atom first, then every atom of H_0, then the rest of H_1's atoms,
@@ -75,8 +77,8 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     never bind, so it is stored as that product; it drops to 0 once H's
     last atom is placed, and prefixes that no later atom can tell apart
     merge into one state.  The value is one int whose digit r, B = width
-    = ((hi - lo + 1)**n).bit_length() + 1 bits wide, counts the prefixes in
-    that state whose remaining sum is r (k*t at the start).  Placing s
+    = ((hi + 1)**n).bit_length() + 1 bits wide, counts the prefixes in
+    that state whose remaining sum is r (total at the start).  Placing s
     shifts the value down by s digits and scales it by ways[s]; digits of
     a negative remaining sum fall off the bottom, and a zero shift ends the
     loop over s.  The last atom reads its sums straight from the digits.
@@ -84,14 +86,10 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     No digit ever carries: a digit of any value built here counts distinct
     assignments of the coordinates placed so far (different s, or states
     merged by a clamp, never yield the same assignment twice), so it is at
-    most (hi - lo + 1)**n < 2**(B - 1).  Callers guarantee n >= 1, so
-    there is a last atom.
+    most (hi + 1)**n < 2**(B - 1).  Callers guarantee n >= 1, so there is
+    a last atom.
     """
-    n, k = m.n, m.k
-    lo, hi = (1, t - 1) if interior else (0, t)
-    cap = (k - 1) * t - (1 if interior else 0)
-    if hi < lo:
-        return 0
+    n = m.n
     chs = m.circuit_hyperplanes
     covers: list[list[int]] = [[] for _ in range(n)]  # coordinate -> indices of its H
     for j, h in enumerate(chs):
@@ -103,10 +101,10 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     for key in map(tuple, covers):
         sizes[key] = sizes.get(key, 0) + 1
     atoms = sorted(sizes.items())
-    tables = {g: _compositions(g, lo, hi) for g in set(sizes.values())}
-    width = ((hi - lo + 1) ** n).bit_length() + 1
+    tables = {g: _compositions(g, hi) for g in set(sizes.values())}
+    width = ((hi + 1) ** n).bit_length() + 1
     ceiling = [hi * h.bit_count() for h in chs]  # hi * coordinates of H still to place
-    layer = {tuple(min(cap, c) for c in ceiling): 1 << (k * t * width)}
+    layer = {tuple(min(cap, c) for c in ceiling): 1 << (total * width)}
     for cover, g in atoms[:-1]:
         ways = tables[g]
         for j in cover:
@@ -117,7 +115,7 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
             for j in cover:
                 if state[j] < top:  # sum over H <= cap, i.e. s <= its slack
                     top = state[j]
-            for s in range(g * lo, top + 1):
+            for s in range(top + 1):
                 part = vec >> (s * width)
                 if not part:
                     break
@@ -131,15 +129,15 @@ def _count_points(m: SparsePavingMatroid, t: int, *, interior: bool) -> int:
     cover, g = atoms[-1]
     ways = tables[g]
     mask = (1 << width) - 1
-    total = 0
+    count = 0
     for state, vec in layer.items():
         top = g * hi
         for j in cover:
             if state[j] < top:
                 top = state[j]
-        for s in range(g * lo, top + 1):
-            total += ways[s] * (vec >> (s * width) & mask)
-    return total
+        for s in range(top + 1):
+            count += ways[s] * (vec >> (s * width) & mask)
+    return count
 
 
 def check_oracle_instance(m: SparsePavingMatroid, t: int) -> None:
@@ -160,14 +158,24 @@ def oracle_count(m: SparsePavingMatroid, t: int) -> int:
     """#(t P(M) cap Z^n): integer x with 0 <= x_i <= t, sum x_i = k t, and
     sum over each circuit-hyperplane <= (k-1) t."""
     check_oracle_instance(m, t)
-    return _count_points(m, t, interior=False)
+    return _count_points(m, t, m.k * t, (m.k - 1) * t)
 
 
 def oracle_interior_count(m: SparsePavingMatroid, t: int) -> int:
     """Relative-interior count: all facet inequalities strict, the
-    hyperplane sum x_i = k t kept as an equality."""
+    hyperplane sum x_i = k t kept as an equality.
+
+    The strict box 0 < x_i < t holds the integer x = y + 1 with y in
+    [0, t - 2]^n, so this is the closed count of a shrunk box: sum y_i =
+    k t - n, and each circuit-hyperplane, holding k coordinates, sums to
+    at most (k - 1) t - 1 - k over y.
+    """
     check_oracle_instance(m, t)
-    return _count_points(m, t, interior=True)
+    n, k = m.n, m.k
+    hi, total = t - 2, k * t - n
+    if hi < 0 or total < 0:
+        return 0
+    return _count_points(m, hi, total, (k - 1) * t - 1 - k)
 
 
 def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[SparsePavingMatroid]:
@@ -180,6 +188,8 @@ def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[Sparse
         raise BudgetExceededError(f"enumeration too large: n = {n} (max {ENUMERATION_MAX_N})")
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got (n, k) = ({n}, {k})")
+    if lambda_max < 0:
+        raise ValueError(f"need lambda_max >= 0, got {lambda_max}")
     masks = list(weight_k_masks(n, k))
     depth_cap = min(lambda_max, circuit_hyperplane_bound(n, k))
 

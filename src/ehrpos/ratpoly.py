@@ -10,12 +10,14 @@ The arithmetic (sums, products, evaluation, the binomial polynomials, the
 Taylor shift and interpolation at 0..d) works on that form: every step is
 integer arithmetic.  A sum or difference is one pass over the numerators
 scaled to the lcm of the two denominators, and scaling by an int
-multiplies the numerators; neither builds a `Fraction`.  Interpolation
-reads the numerator and denominator of each value as they are.  The
-"p/q" strings of the reports come from the same form with one gcd per
-coefficient, and a `Fraction` is built only when a reader asks for
-`coeffs` or `coeff(m)`: `coeffs` builds its tuple on each read and keeps
-no cache.
+multiplies the numerators; neither builds a `Fraction`.  Evaluation, the
+Taylor shift and interpolation take integers, the only inputs the
+program passes, and raise TypeError on anything else: a polynomial is
+evaluated at an int as `horner` of its numerators over den, shifted by
+an int, and interpolated through int values.  The "p/q" strings of the
+reports come from the same form with one gcd per coefficient, and a
+`Fraction` is built only when a reader asks for `coeffs` or `coeff(m)`:
+`coeffs` builds its tuple on each read and keeps no cache.
 
 Besides polynomial arithmetic the module provides the combinatorial
 numbers the Ehrhart formulas consume: binomial coefficients (as a total
@@ -31,15 +33,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[int, Fraction]
-
-
-def _as_fraction(x: RatLike) -> Fraction:
-    # floats are rejected rather than converted: exactness is a hard invariant
-    if isinstance(x, float):
-        raise TypeError("floating point is not allowed in exact arithmetic")
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 class Polynomial:
@@ -59,7 +52,11 @@ class Polynomial:
     den: int
 
     def __init__(self, coeffs: Iterable[RatLike]) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        # floats are rejected rather than converted: exactness is a hard invariant
+        if any(isinstance(c, float) for c in cs):
+            raise TypeError("floating point is not allowed in exact arithmetic")
+        # ints and Fractions both carry .numerator and .denominator
         den = math.lcm(*(c.denominator for c in cs))
         self._set_canonical([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -101,20 +98,10 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def __call__(self, x: RatLike) -> Fraction:
-        if isinstance(x, float):
-            raise TypeError("floating point is not allowed in exact arithmetic")
-        # ints and Fractions both carry .numerator and .denominator
-        a, b = x.numerator, x.denominator
-        # homogeneous integer Horner at x = a/b: sum_m nums[m] a**m b**(d-m)
-        if not self.nums:
-            return Fraction(0)
-        acc = 0
-        power = 1
-        for c in reversed(self.nums):
-            acc = acc * a + c * power
-            power *= b
-        return Fraction(acc, self.den * (power // b))
+    def __call__(self, x: int) -> Fraction:
+        if not isinstance(x, int):
+            raise TypeError(f"a polynomial is evaluated at an int, not {type(x).__name__}")
+        return Fraction(horner(self.nums, x), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -233,51 +220,42 @@ def binom_poly(a: int, b: int) -> Polynomial:
     return Polynomial._from_int_form(nums, math.factorial(b))
 
 
-def poly_shift(p: Polynomial, c: RatLike) -> Polynomial:
-    """Return q with q(t) = p(t + c), by an integer Taylor shift.
-
-    With p = N / den of degree d and c = a/b, M(s) = b**d N(s/b) has
-    integer coefficients, and q(t) = M(bt + a) / (den b**d): shift M by
-    the integer a, then scale coefficient m by b**m.
-    """
-    c = _as_fraction(c)
-    if not p:
-        return p
-    a, b = c.numerator, c.denominator
-    d = len(p.nums) - 1
-    work = [x * b ** (d - m) for m, x in enumerate(p.nums)]
-    # Taylor shift by a: after pass i, work[i] is final
+def poly_shift(p: Polynomial, c: int) -> Polynomial:
+    """Return q with q(t) = p(t + c) for an int c, by an integer Taylor
+    shift of the numerators over the same denominator."""
+    if not isinstance(c, int):
+        raise TypeError(f"the shift is an int, not {type(c).__name__}")
+    work = list(p.nums)
+    d = len(work) - 1
+    # after pass i, work[i] is final
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            work[j] += a * work[j + 1]
-    return Polynomial._from_int_form([x * b**m for m, x in enumerate(work)], p.den * b**d)
+            work[j] += c * work[j + 1]
+    return Polynomial._from_int_form(work, p.den)
 
 
-def interpolate_at_naturals(values: Sequence[RatLike]) -> Polynomial:
-    """Interpolate at the nodes t = 0, 1, ..., len(values) - 1.
+def interpolate_at_naturals(values: Sequence[int]) -> Polynomial:
+    """Interpolate the int values at the nodes t = 0, 1, ..., len(values) - 1.
 
     Forward differences in the binomial basis: p = sum_j b_j * C(t, j)
-    with b_j the j-th forward difference at 0.  Scaled by the common
-    denominator L of the values, the differences L b_j are integers, and
-    d! L p = sum_j L b_j (d!/j!) t(t-1)...(t-j+1) is summed in the
+    with b_j the j-th forward difference at 0, an integer, and
+    d! p = sum_j b_j (d!/j!) t(t-1)...(t-j+1) is summed in the
     falling-factorial basis by Horner's rule with integer coefficients.
     """
     if not values:
         raise ValueError("degenerate interpolation input")
-    if any(isinstance(v, float) for v in values):
-        raise TypeError("floating point is not allowed in exact arithmetic")
-    # ints and Fractions both carry .numerator and .denominator
-    den = math.lcm(*(v.denominator for v in values))
-    diffs = [v.numerator * (den // v.denominator) for v in values]
+    if not all(isinstance(v, int) for v in values):
+        raise TypeError("interpolation takes int values only")
+    diffs = list(values)
     d = len(diffs) - 1
     for j in range(1, d + 1):
         for i in range(d, j - 1, -1):
             diffs[i] -= diffs[i - 1]
-    # diffs[j] is now L b_j; Horner: acc <- acc * (t - j) + L b_j d!/j!
+    # diffs[j] is now b_j; Horner: acc <- acc * (t - j) + b_j d!/j!
     acc = [diffs[d]]
     scale = 1
     for j in range(d - 1, -1, -1):
         scale *= j + 1
         times_linear(acc, -j)
         acc[0] += diffs[j] * scale
-    return Polynomial._from_int_form(acc, math.factorial(d) * den)
+    return Polynomial._from_int_form(acc, math.factorial(d))

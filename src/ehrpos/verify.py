@@ -13,7 +13,6 @@ polynomial from Katzman's formula (about 0.05 s) instead of building it.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator
@@ -49,6 +48,9 @@ LAMBDA_18_9_TABLE = 3540
 RANK3_INEQUALITY_N = 10439
 STRONG9_THRESHOLD_N = 55
 RANK3_CONSTRUCTION_N = 3589
+# sha256 of the exact [t^2] coefficient at (3, 3589, 2145026), written
+# "p/q": a negative Fraction of 4,681 characters.
+RANK3_QUAD_3589_SHA256 = "81ea71a3e9c69d9ad22220b8ab04fad124608a11da758752d5ffef65be488d34"
 # C(4, 2) H_9^2: criterion 8 reads it through ehrhart's harmonic binding,
 # the one its thresholds read, so a wrong harmonic number fails the criterion.
 UPPER_BOUND_QUAD_3_10 = Fraction(50822641, 1058400)
@@ -61,14 +63,6 @@ RANK2_N_RANGE = range(3, 151)
 # circuit-hyperplanes: 502 of the 532 with n <= 6, all but the (6, 3)
 # matroids with lambda = 4.
 CRITERION_9_LAMBDA_MAX = 3
-
-
-@dataclass
-class CheckResult:
-    criterion: int
-    name: str
-    status: str  # "pass" | "fail"
-    detail: str
 
 
 def _capped_poly(k: int, n: int) -> Polynomial:
@@ -289,12 +283,17 @@ def _subset_sums(x: tuple[int, ...]) -> list[int]:
 
 
 def check_rank3_threshold() -> tuple[bool, str]:
+    import hashlib  # here, not at the top: it loads OpenSSL, 3.7 MiB that nothing else needs
+
     n = RANK3_CONSTRUCTION_N
     lam = gs_lower_bound(n, 3)
     quad = ehr_uniform_coeff(3, n, 2) - lam * quad_coeff_minimal_shifted(3, n)
     sign = "negative" if quad < 0 else "nonnegative"
-    return quad < 0, (
-        f"ehr_uniform_coeff(3, {n}, 2) - {lam} * quad_coeff_minimal_shifted(3, {n}) is {sign}"
+    digest = hashlib.sha256(f"{quad.numerator}/{quad.denominator}".encode()).hexdigest()
+    pinned = digest == RANK3_QUAD_3589_SHA256
+    return quad < 0 and pinned, (
+        f"ehr_uniform_coeff(3, {n}, 2) - {lam} * quad_coeff_minimal_shifted(3, {n}) is {sign}; "
+        f"its exact value matches the pinned sha256: {pinned}"
     )
 
 
@@ -343,9 +342,9 @@ CHECKS: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_check(criterion: int, name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
+def run_check(fn: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
+    """fn's (ok, detail); an exception is a fail whose detail is its traceback."""
     try:
-        ok, detail = fn()
+        return fn()
     except Exception:
-        return CheckResult(criterion, name, "fail", traceback.format_exc(limit=3).strip())
-    return CheckResult(criterion, name, "pass" if ok else "fail", detail)
+        return False, traceback.format_exc(limit=3).strip()

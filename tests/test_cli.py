@@ -544,16 +544,25 @@ def test_missing_subcommand_is_exit_1() -> None:
 
 
 def test_entry_point_determinism() -> None:
-    argv = [
-        sys.executable, "-m", "ehrpos.cli", "search",
+    args = [
+        "-m", "ehrpos.cli", "search",
         "--n-range", "10:12", "--k-range", "2:4", "--format", "csv",
     ]
     # the package under test comes first, installed or not
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    first = subprocess.run(argv, capture_output=True, check=True, env=env)
-    second = subprocess.run(argv, capture_output=True, check=True, env=env)
+    # two runs that differ in hash seed, optimisation and warning settings:
+    # -O strips asserts, and -X dev -W error turns every warning into an error
+    runs = [(["-O"], "0"), (["-X", "dev", "-W", "error"], "12345")]
+    first, second = (
+        subprocess.run(
+            [sys.executable, *flags, *args],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        for flags, seed in runs
+    )
     assert first.stdout == second.stdout
     assert first.stdout.count(b"\n") == 10
 
@@ -695,10 +704,11 @@ GOLDEN_STDOUT = {
     # criterion 11 its two real-rootedness controls, criterion 10's detail
     # began to name the two coefficients it computes, and criterion 9 named
     # its lambda cap and began to check the rank function against the oracle,
-    # and criterion 8 began to print and check upper_bound_quad_uniform(3, 10)
+    # and criterion 8 began to print and check upper_bound_quad_uniform(3, 10),
+    # and criterion 10 began to check its exact [t^2] against a pinned sha256
     "verify-paper": (
         ["verify-paper"],
-        "fe2e53a0ebdb7b0f56f7e927f0fe882c51a5556fe016739de130fcdc94ed6f5b",
+        "3acdcc0176123c99a27afb03903ee9c35bfe486a1a12e47989452514fffa8152",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],

@@ -199,13 +199,13 @@ def test_tail_rules(n: int, chs: list[int], closed: list[int], interior: list[in
         assert_counts_match_references(m, t)
 
 
-def _ref_compositions(g: int, lo: int, hi: int) -> list[int]:
+def _ref_compositions(g: int, hi: int) -> list[int]:
     """Reference route: add one part at a time, every value of it."""
     ways = [1]
     for _ in range(g):
         nxt = [0] * (len(ways) + hi)
         for s, w in enumerate(ways):
-            for x in range(s + lo, s + hi + 1):
+            for x in range(s, s + hi + 1):
                 nxt[x] += w
         ways = nxt
     return ways
@@ -213,19 +213,17 @@ def _ref_compositions(g: int, lo: int, hi: int) -> list[int]:
 
 def test_compositions_match_product() -> None:
     # every atom size an instance within the budgets can have, at every
-    # dilation; the brute-force product stays affordable up to g = 4
+    # box bound: hi = t for the closed count, t - 2 for the interior; the
+    # brute-force product stays affordable up to g = 4
     for g in range(1, ORACLE_MAX_N + 1):
-        for t in range(ORACLE_MAX_T + 1):
-            for lo, hi in ((0, t), (1, t - 1)):
-                if hi < lo:
-                    continue
-                expected = _ref_compositions(g, lo, hi)
-                if g <= 4:
-                    brute = [0] * (g * hi + 1)
-                    for ys in product(range(lo, hi + 1), repeat=g):
-                        brute[sum(ys)] += 1
-                    assert brute == expected, (g, lo, hi)
-                assert oracle._compositions(g, lo, hi) == expected, (g, lo, hi)
+        for hi in range(ORACLE_MAX_T + 1):
+            expected = _ref_compositions(g, hi)
+            if g <= 4:
+                brute = [0] * (g * hi + 1)
+                for ys in product(range(hi + 1), repeat=g):
+                    brute[sum(ys)] += 1
+                assert brute == expected, (g, hi)
+            assert oracle._compositions(g, hi) == expected, (g, hi)
 
 
 @pytest.mark.parametrize(
@@ -260,16 +258,15 @@ def test_one_compositions_table_per_atom_size(
     real = oracle._compositions
     calls: list[int] = []
 
-    def counted(g: int, lo: int, hi: int) -> list[int]:
+    def counted(g: int, hi: int) -> list[int]:
         calls.append(g)
-        return real(g, lo, hi)
+        return real(g, hi)
 
     monkeypatch.setattr(oracle, "_compositions", counted)
     for t in range(2, ORACLE_MAX_T + 1):  # from t = 2 the interior count places atoms too
-        for interior in (False, True):
+        for interior, count in ((False, oracle_count), (True, oracle_interior_count)):
             calls.clear()
-            count = oracle._count_points(m, t, interior=interior)
-            assert count == dfs_count(m, t, interior=interior)
+            assert count(m, t) == dfs_count(m, t, interior=interior)
             assert sorted(calls) == sizes, (interior, t)
 
 
@@ -312,15 +309,16 @@ def test_interior_is_empty_at_t_1() -> None:
             assert all(oracle_interior_count(m, 1) == 0 for m in enumerate_small_matroids(n, k, 3))
 
 
-@pytest.mark.parametrize("side", [False, True], ids=["closed", "interior"])
-def test_reference_check_catches_an_off_by_one(side: bool, monkeypatch) -> None:
+# at t = 3 the closed count's box is [0, 3]^n and the interior count's [0, 1]^n
+@pytest.mark.parametrize("side_hi", [3, 1], ids=["closed", "interior"])
+def test_reference_check_catches_an_off_by_one(side_hi: int, monkeypatch) -> None:
     m = validate(5, 2, [0b00011, 0b01100])
     assert_counts_match_references(m, 3)
     real = oracle._count_points
     monkeypatch.setattr(
         oracle,
         "_count_points",
-        lambda mm, t, *, interior: real(mm, t, interior=interior) + (interior == side),
+        lambda mm, hi, total, cap: real(mm, hi, total, cap) + (hi == side_hi),
     )
     with pytest.raises(AssertionError):
         assert_counts_match_references(m, 3)
@@ -393,6 +391,10 @@ def test_enumerate_respects_bound_and_order() -> None:
     assert chs[0] == ()
     with pytest.raises(BudgetExceededError, match="enumeration too large"):
         list(enumerate_small_matroids(8, 4, 1))
+    # a negative cap is refused, not read as no cap
+    for n, k in ((4, 2), (6, 3)):
+        with pytest.raises(ValueError, match="lambda_max >= 0"):
+            next(enumerate_small_matroids(n, k, -1))
 
 
 def test_enumerate_all_validate() -> None:

@@ -206,12 +206,32 @@ def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
         (verify, "gs_lower_bound", lambda real: lambda n, k: real(n, k) - 1, 2),
         # too small to move a threshold; the thresholds read ehrhart's binding
         (ehrhart, "harmonic", lambda real: lambda n: real(n) + Fraction(1, 10**12), 8),
+        # neither moves the sign of criterion 10's [t^2]; its pinned digest catches both
+        (
+            verify,
+            "ehr_uniform_coeff",
+            lambda real: lambda k, n, m: real(k, n, m) + Fraction(1, 10**9),
+            10,
+        ),
+        (
+            verify,
+            "quad_coeff_minimal_shifted",
+            lambda real: lambda k, n: real(k, n) * (1 + Fraction(1, 10**6)),
+            10,
+        ),
     ],
-    ids=["is_real_rooted-always-true", "gs_lower_bound-minus-one", "harmonic-plus-1e-12"],
+    ids=[
+        "is_real_rooted-always-true",
+        "gs_lower_bound-minus-one",
+        "harmonic-plus-1e-12",
+        "ehr_uniform_coeff-plus-1e-9",
+        "quad_coeff_minimal_shifted-times-1-plus-1e-6",
+    ],
 )
 def test_corrupted_kernel_fails_its_criterion(
     module, kernel, corrupt, criterion, monkeypatch
 ) -> None:
     monkeypatch.setattr(module, kernel, corrupt(getattr(module, kernel)))
-    _, name, fn = next(c for c in verify.CHECKS if c[0] == criterion)
-    assert verify.run_check(criterion, name, fn).status == "fail"
+    _, _, fn = next(c for c in verify.CHECKS if c[0] == criterion)
+    ok, _ = verify.run_check(fn)
+    assert not ok
