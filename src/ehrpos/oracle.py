@@ -1,19 +1,20 @@
 """Lattice-point oracle for desk-scale certification.
 
 Counts integer points of dilated basis polytopes exactly.  It reads
-`m.circuit_hyperplanes` and writes the box, sum and cap constraints out
-itself; criterion 9 ties those constraints to the rank-function
-definition of P(M) by counting, at t = 1 and 2, the points that
-`matroid.rank_of` accepts.  The interior count is the closed count of a
-shrunk box.  The count is a dynamic program over the atoms of the
-matroid (classes of coordinates that lie in the same
-circuit-hyperplanes), placed one circuit-hyperplane at a time.  Its
-states are the circuit-hyperplane slacks, and each state's value packs
-the counts of every remaining sum into the digits of one int.  It uses
-no formula of `ehrpos.ehrhart` and builds no polynomial: the test suite
-and `verify` compare its counts with the formula's values, one dilation
-at a time.  Budgets keep instances small: this module is a certifier,
-not a production counter.
+`m.circuit_hyperplanes` in one place, `atom_structure`, and writes the
+box, sum and cap constraints out itself.  The count reads only that
+structure, so criterion 9 counts each structure once per (n, k); it ties
+the constraints to the rank-function definition of P(M) by counting, at
+t = 1 and 2, the points that `matroid.rank_of` accepts.  The interior
+count is the closed count of a shrunk box.  The count is a dynamic
+program over the atoms of the matroid (classes of coordinates that lie
+in the same circuit-hyperplanes), placed one circuit-hyperplane at a
+time.  Its states are the circuit-hyperplane slacks, and each state's
+value packs the counts of every remaining sum into the digits of one
+int.  It uses no formula of `ehrpos.ehrhart` and builds no polynomial:
+the test suite and `verify` compare its counts with the formula's
+values, one dilation at a time.  Budgets keep instances small: this
+module is a certifier, not a production counter.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ ORACLE_MAX_T = 6
 # reduction: 11,672 at n = 7 with 0 < k < 7 and no lambda cap
 ENUMERATION_MAX_N = 7
 
+# sorted pairs (indices of the circuit-hyperplanes holding an atom, its
+# number of coordinates); see atom_structure
+AtomStructure = tuple[tuple[tuple[int, ...], int], ...]
+
 
 def _compositions(g: int, hi: int) -> list[int]:
     """ways[s] for s in 0..g*hi: the number of (y_1..y_g) in [0, hi]^g
@@ -53,11 +58,33 @@ def _compositions(g: int, hi: int) -> list[int]:
     return [packed >> (s * w) & mask for s in range(g * hi + 1)]
 
 
-def _count_points(m: SparsePavingMatroid, hi: int, total: int, cap: int) -> int:
-    """The number of integer y in [0, hi]^n with sum y_i = total and
-    y(H) <= cap for every circuit-hyperplane H of m, for hi, total >= 0.
+def atom_structure(m: SparsePavingMatroid) -> AtomStructure:
+    """The atoms of m, the classes of coordinates that lie in the same
+    circuit-hyperplanes, as sorted pairs (indices of the circuit-hyperplanes
+    that hold the atom, its number of coordinates).  Every coordinate lies
+    in one atom, so the counts sum to n; the free atom, if any, has key ().
 
-    A dynamic program over the atoms of m: the classes of coordinates that
+    It is all that `_count_points` reads of m, so matroids with the same
+    structure have the same counts.
+    """
+    covers: list[list[int]] = [[] for _ in range(m.n)]  # coordinate -> indices of its H
+    for j, h in enumerate(m.circuit_hyperplanes):
+        while h:
+            low = h & -h
+            covers[low.bit_length() - 1].append(j)
+            h ^= low
+    sizes: dict[tuple[int, ...], int] = {}
+    for key in map(tuple, covers):
+        sizes[key] = sizes.get(key, 0) + 1
+    return tuple(sorted(sizes.items()))
+
+
+def _count_points(atoms: AtomStructure, hi: int, total: int, cap: int) -> int:
+    """The number of integer y in [0, hi]^n with sum y_i = total and
+    y(H) <= cap for every circuit-hyperplane H, for hi, total >= 0, where
+    `atoms` is an `atom_structure` of n coordinates.
+
+    A dynamic program over the atoms: the classes of coordinates that
     lie in the same circuit-hyperplanes.  Coordinates of one atom are
     interchangeable, so an atom of g coordinates places one sum s in
     [0, g*hi], in ways[s] = _compositions(g, hi)[s] ways; one table serves
@@ -89,21 +116,18 @@ def _count_points(m: SparsePavingMatroid, hi: int, total: int, cap: int) -> int:
     most (hi + 1)**n < 2**(B - 1).  Callers guarantee n >= 1, so there is
     a last atom.
     """
-    n = m.n
-    chs = m.circuit_hyperplanes
-    covers: list[list[int]] = [[] for _ in range(n)]  # coordinate -> indices of its H
-    for j, h in enumerate(chs):
-        while h:
-            low = h & -h
-            covers[low.bit_length() - 1].append(j)
-            h ^= low
-    sizes: dict[tuple[int, ...], int] = {}  # atom (indices of its H) -> coordinates
-    for key in map(tuple, covers):
-        sizes[key] = sizes.get(key, 0) + 1
-    atoms = sorted(sizes.items())
-    tables = {g: _compositions(g, hi) for g in set(sizes.values())}
+    n = 0
+    ceiling: list[int] = []  # hi * coordinates of H still to place
+    tables: dict[int, list[int]] = {}
+    for cover, g in atoms:
+        n += g
+        if g not in tables:
+            tables[g] = _compositions(g, hi)
+        for j in cover:
+            if j >= len(ceiling):  # (0, 2) sorts before (1,): grow to any index
+                ceiling += [0] * (j + 1 - len(ceiling))
+            ceiling[j] += hi * g
     width = ((hi + 1) ** n).bit_length() + 1
-    ceiling = [hi * h.bit_count() for h in chs]  # hi * coordinates of H still to place
     layer = {tuple(min(cap, c) for c in ceiling): 1 << (total * width)}
     for cover, g in atoms[:-1]:
         ways = tables[g]
@@ -158,7 +182,7 @@ def oracle_count(m: SparsePavingMatroid, t: int) -> int:
     """#(t P(M) cap Z^n): integer x with 0 <= x_i <= t, sum x_i = k t, and
     sum over each circuit-hyperplane <= (k-1) t."""
     check_oracle_instance(m, t)
-    return _count_points(m, t, m.k * t, (m.k - 1) * t)
+    return _count_points(atom_structure(m), t, m.k * t, (m.k - 1) * t)
 
 
 def oracle_interior_count(m: SparsePavingMatroid, t: int) -> int:
@@ -175,14 +199,15 @@ def oracle_interior_count(m: SparsePavingMatroid, t: int) -> int:
     hi, total = t - 2, k * t - n
     if hi < 0 or total < 0:
         return 0
-    return _count_points(m, hi, total, (k - 1) * t - 1 - k)
+    return _count_points(atom_structure(m), hi, total, (k - 1) * t - 1 - k)
 
 
 def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[SparsePavingMatroid]:
     """Every sparse paving matroid on {1..n} of rank k with at most
     lambda_max circuit-hyperplanes, in depth-first lexicographic order of
     the sorted mask tuples (the uniform matroid comes first).  No symmetry
-    reduction is applied.
+    reduction is applied.  A refused input raises here, at the call, not
+    at the first `next()`: only the inner walk is a generator.
     """
     if n > ENUMERATION_MAX_N:
         raise BudgetExceededError(f"enumeration too large: n = {n} (max {ENUMERATION_MAX_N})")
@@ -204,4 +229,4 @@ def enumerate_small_matroids(n: int, k: int, lambda_max: int) -> Iterator[Sparse
                 yield from rec(i + 1, chosen)
                 chosen.pop()
 
-    yield from rec(0, [])
+    return rec(0, [])

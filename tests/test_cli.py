@@ -705,10 +705,11 @@ GOLDEN_STDOUT = {
     # began to name the two coefficients it computes, and criterion 9 named
     # its lambda cap and began to check the rank function against the oracle,
     # and criterion 8 began to print and check upper_bound_quad_uniform(3, 10),
-    # and criterion 10 began to check its exact [t^2] against a pinned sha256
+    # and criterion 10 began to check its exact [t^2] against a pinned sha256,
+    # and criterion 9 dropped its lambda cap and began to name its atom structures
     "verify-paper": (
         ["verify-paper"],
-        "3acdcc0176123c99a27afb03903ee9c35bfe486a1a12e47989452514fffa8152",
+        "c1ce63de1c5d039a0ce95f6ad2aedd12bc56c41240ed3ac38464de251e90d720",
     ),
     "oracle": (
         ["oracle", "--matroid-file", "{matroid_file}", "--t-max", "4"],

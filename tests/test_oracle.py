@@ -105,8 +105,9 @@ def test_oracle_count_examples() -> None:
 
 
 def test_enumeration_budget() -> None:
+    # refused at the call, before any matroid is asked for
     with pytest.raises(BudgetExceededError, match=r"enumeration too large: n = 8 \(max 7\)"):
-        next(enumerate_small_matroids(8, 4, 0))
+        enumerate_small_matroids(8, 4, 0)
 
 
 def test_oracle_interior_examples() -> None:
@@ -238,6 +239,9 @@ def test_compositions_match_product() -> None:
 def test_atom_shapes_match_dfs(chs: list[int], atoms: int) -> None:
     m = validate(6, 3, chs)
     assert len({tuple(h >> i & 1 for h in chs) for i in range(6)}) == atoms
+    structure = oracle.atom_structure(m)
+    assert len(structure) == atoms
+    assert sum(g for _, g in structure) == 6
     for t in range(ORACLE_MAX_T + 1):
         assert oracle_count(m, t) == dfs_count(m, t, interior=False), t
         assert oracle_interior_count(m, t) == dfs_count(m, t, interior=True), t
@@ -318,7 +322,7 @@ def test_reference_check_catches_an_off_by_one(side_hi: int, monkeypatch) -> Non
     monkeypatch.setattr(
         oracle,
         "_count_points",
-        lambda mm, hi, total, cap: real(mm, hi, total, cap) + (hi == side_hi),
+        lambda atoms, hi, total, cap: real(atoms, hi, total, cap) + (hi == side_hi),
     )
     with pytest.raises(AssertionError):
         assert_counts_match_references(m, 3)
@@ -390,11 +394,11 @@ def test_enumerate_respects_bound_and_order() -> None:
     assert chs == sorted(chs)
     assert chs[0] == ()
     with pytest.raises(BudgetExceededError, match="enumeration too large"):
-        list(enumerate_small_matroids(8, 4, 1))
+        enumerate_small_matroids(8, 4, 1)
     # a negative cap is refused, not read as no cap
     for n, k in ((4, 2), (6, 3)):
         with pytest.raises(ValueError, match="lambda_max >= 0"):
-            next(enumerate_small_matroids(n, k, -1))
+            enumerate_small_matroids(n, k, -1)
 
 
 def test_enumerate_all_validate() -> None:

@@ -93,6 +93,40 @@ def test_formula_import_check_catches_an_import() -> None:
     assert found & FORMULA_MODULES == {"hstar", "cli", "ratpoly"}
 
 
+def _attribute_readers(tree: ast.Module, attr: str) -> list[str]:
+    """Where an attribute named `attr` is read: the innermost function
+    around each read, by dotted name, or `<module>` outside every function."""
+    spans = [(node.lineno, node.end_lineno, name) for name, node in _functions(tree)]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            around = [(lo, name) for lo, hi, name in spans if lo <= node.lineno <= hi]
+            found.add(max(around)[1] if around else "<module>")
+    return sorted(found)
+
+
+def test_oracle_reads_circuit_hyperplanes_only_in_atom_structure() -> None:
+    # the count then reads nothing of a matroid but its atom structure, the
+    # key under which criterion 9 shares the counts of matroids
+    path = SRC / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _attribute_readers(tree, "circuit_hyperplanes") == ["atom_structure"]
+
+
+def test_attribute_reader_check_catches_a_read() -> None:
+    snippet = (
+        "def atom_structure(m):\n"
+        "    return m.circuit_hyperplanes\n"
+        "def _count_points(m, hi):\n"
+        "    def inner():\n"
+        "        return len(m.circuit_hyperplanes)\n"
+        "    return inner() + m.n\n"
+        "LAM = M.circuit_hyperplanes\n"
+    )
+    found = _attribute_readers(ast.parse(snippet), "circuit_hyperplanes")
+    assert found == ["<module>", "_count_points.inner", "atom_structure"]
+
+
 def _coeffs_reads(tree: ast.Module) -> list[int]:
     """Lines that read an attribute named `coeffs`."""
     return sorted(

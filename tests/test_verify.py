@@ -7,16 +7,21 @@ from itertools import product
 import pytest
 
 from ehrpos import ehrhart, verify
-from ehrpos.matroid import rank_of
-from ehrpos.oracle import enumerate_small_matroids, oracle_count
+from ehrpos.matroid import circuit_hyperplane_bound, rank_of
+from ehrpos.oracle import (
+    atom_structure,
+    enumerate_small_matroids,
+    oracle_count,
+    oracle_interior_count,
+)
 from ehrpos.ratpoly import Polynomial
 
 
 def small_matroids():
-    """The 502 matroids that criterion 9 certifies."""
+    """The 532 matroids that criterion 9 certifies: every one with n <= 6."""
     for n in range(2, 7):
         for k in range(1, n):
-            yield from enumerate_small_matroids(n, k, verify.CRITERION_9_LAMBDA_MAX)
+            yield from enumerate_small_matroids(n, k, circuit_hyperplane_bound(n, k))
 
 
 def _by_nk() -> dict[tuple[int, int], list]:
@@ -45,7 +50,7 @@ def test_facet_rank_fast_path_matches_per_subset_route() -> None:
     # one slice per (n, k, t), shared by the matroids as in criterion 9; the
     # reference sums x again over every mask at every point
     by_nk = _by_nk()
-    assert sum(map(len, by_nk.values())) == 502
+    assert sum(map(len, by_nk.values())) == 532
     for (n, k), matroids in by_nk.items():
         for t in (1, 2):
             sl = verify._Slice(n, k, t)
@@ -97,11 +102,12 @@ def test_out_of_range_rank_raises(monkeypatch, wrong: int) -> None:
 
 
 def test_criterion_9_builds_each_value_once(monkeypatch) -> None:
-    # per matroid one rank vector (2^n masks), per (n, k, lambda) one
-    # polynomial, per (matroid, t) one oracle count, which the rank clause
-    # at t = 1, 2 reuses
+    # per matroid one atom structure and one rank vector (2^n masks), per
+    # (n, k, lambda) one polynomial, and per (n, k, atom structure) one
+    # oracle count per t, which the rank clause at t = 1, 2 reuses
     calls: Counter[str] = Counter()
-    for name in ("rank_of", "ehr_sparse", "oracle_count", "oracle_interior_count"):
+    names = ("rank_of", "ehr_sparse", "oracle_count", "oracle_interior_count", "atom_structure")
+    for name in names:
 
         def counted(*args, _real=getattr(verify, name), _name=name):
             calls[_name] += 1
@@ -109,34 +115,78 @@ def test_criterion_9_builds_each_value_once(monkeypatch) -> None:
 
         monkeypatch.setattr(verify, name, counted)
     assert verify.check_oracle_certification()[0]
-    assert sum(2**m.n for m in small_matroids()) == 28492
-    assert len({(m.n, m.k, m.lam) for m in small_matroids()}) == 39
+    ms = list(small_matroids())
+    assert len(ms) == 532
+    assert sum(2**m.n for m in ms) == 30412
+    assert len({(m.n, m.k, m.lam) for m in ms}) == 40
+    assert len({(m.n, m.k, atom_structure(m)) for m in ms}) == 41
     assert calls == {
-        "rank_of": 28492,
-        "ehr_sparse": 39,
-        "oracle_count": 2510,
-        "oracle_interior_count": 2008,
+        "rank_of": 30412,
+        "ehr_sparse": 40,
+        "oracle_count": 41 * 5,
+        "oracle_interior_count": 41 * 4,
+        "atom_structure": 532,
     }
+
+
+def test_criterion_9_shared_counts_match_direct_counts(monkeypatch) -> None:
+    # fast path against the slow path it replaces: the counts that criterion
+    # 9 takes for each (n, k, atom structure) from its first matroid are
+    # those that the oracle gives every matroid of that structure
+    shared: dict[tuple, list[int]] = {}
+    real = {name: getattr(verify, name) for name in ("oracle_count", "oracle_interior_count")}
+    for name, fn in real.items():
+
+        def recorded(m, t, _fn=fn, _name=name):
+            out = _fn(m, t)
+            shared.setdefault((m.n, m.k, atom_structure(m), _name), []).append(out)
+            return out
+
+        monkeypatch.setattr(verify, name, recorded)
+    assert verify.check_oracle_certification()[0]
+    for m in small_matroids():
+        key = m.n, m.k, atom_structure(m)
+        assert shared[(*key, "oracle_count")] == [oracle_count(m, t) for t in range(5)], m
+        inner = [oracle_interior_count(m, t) for t in range(1, 5)]
+        assert shared[(*key, "oracle_interior_count")] == inner, m
 
 
 # the last (6, 3) matroid with lambda = 3, so that the values of its
 # lambda were built for an earlier matroid and are shared
 LAST_6_3 = [m for m in enumerate_small_matroids(6, 3, 3) if m.lam == 3][-1]
 FIRST_6_3_LAMBDA_2 = next(m for m in enumerate_small_matroids(6, 3, 3) if m.lam == 2)
+# the first (6, 3) matroid with LAST_6_3's atom structure, well before it:
+# criterion 9 counts the structure there, and LAST_6_3 reads the shared counts
+FIRST_LIKE_LAST_6_3 = next(
+    m for m in enumerate_small_matroids(6, 3, 4) if atom_structure(m) == atom_structure(LAST_6_3)
+)
 
 
 def _corrupt_closed_count(monkeypatch) -> str:
     real = verify.oracle_count
-    monkeypatch.setattr(verify, "oracle_count", lambda m, t: real(m, t) + (m == LAST_6_3 and t == 3))
-    return f"count mismatch at {LAST_6_3}, t = 3"
+    monkeypatch.setattr(
+        verify, "oracle_count", lambda m, t: real(m, t) + (m == FIRST_LIKE_LAST_6_3 and t == 3)
+    )
+    return f"count mismatch at {FIRST_LIKE_LAST_6_3}, t = 3"
 
 
 def _corrupt_interior_count(monkeypatch) -> str:
     real = verify.oracle_interior_count
     monkeypatch.setattr(
-        verify, "oracle_interior_count", lambda m, t: real(m, t) + (m == LAST_6_3 and t == 2)
+        verify,
+        "oracle_interior_count",
+        lambda m, t: real(m, t) + (m == FIRST_LIKE_LAST_6_3 and t == 2),
     )
-    return f"reciprocity mismatch at {LAST_6_3}, t = 2"
+    return f"reciprocity mismatch at {FIRST_LIKE_LAST_6_3}, t = 2"
+
+
+def _corrupt_one_structure(monkeypatch) -> str:
+    # LAST_6_3 (lambda = 3) read as the structure of an earlier lambda = 2
+    # matroid takes that matroid's shared counts: 18 bases at t = 1, not 17
+    real = verify.atom_structure
+    wrong = real(FIRST_6_3_LAMBDA_2)
+    monkeypatch.setattr(verify, "atom_structure", lambda m: wrong if m == LAST_6_3 else real(m))
+    return f"count mismatch at {LAST_6_3}, t = 1"
 
 
 def _corrupt_one_lambda(monkeypatch) -> str:
@@ -178,8 +228,11 @@ def _corrupt_oracle_at_t1(monkeypatch) -> str:
         _corrupt_one_lambda,
         _corrupt_one_rank,
         _corrupt_oracle_at_t1,
+        _corrupt_one_structure,
     ],
-    ids=["closed-count", "interior-count", "one-lambda", "one-rank", "oracle-at-t1"],
+    ids=[
+        "closed-count", "interior-count", "one-lambda", "one-rank", "oracle-at-t1", "one-structure"
+    ],
 )
 def test_criterion_9_catches_a_fault_at_one_matroid(corrupt, monkeypatch) -> None:
     detail = corrupt(monkeypatch)
