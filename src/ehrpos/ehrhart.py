@@ -43,6 +43,9 @@ from .ratpoly import (
 PROVENANCES = ("gs-bound", "external-table", "user")
 # verify_rank2_inequalities rolls one row of up to n_max + 1 big ints per n
 RANK2_INEQUALITY_MAX_N = 2000
+# the most atanh terms counterexample_inequality_strong9 sums before it
+# gives up; 8 decide every n from 2 to 3000
+LOG_SERIES_MAX_TERMS = 1 << 10
 
 
 def count_points_uniform(k: int, n: int, t: int) -> int:
@@ -159,7 +162,7 @@ def ehr_sparse(n: int, k: int, lam: int) -> Polynomial:
             f"no sparse paving matroid with lambda = {lam} exists for "
             f"(n, k) = ({n}, {k}): the circuit-hyperplane count is capped at {bound}"
         )
-    return ehr_uniform(k, n) - lam * ehr_minimal_shifted(k, n)
+    return ehr_uniform(k, n)._plus(ehr_minimal_shifted(k, n), -lam)
 
 
 def ehr_uniform_coeff(k: int, n: int, m: int) -> Fraction:
@@ -249,28 +252,27 @@ def counterexample_inequality(k: int, n: int) -> bool:
     return upper_bound_quad_uniform(k, n) < Fraction(binomial(n, k), n) * lower_bound_quad(k, n)
 
 
-def _floor_nth_root(x: int, s: int) -> int:
-    """Largest integer r with r**s <= x, by bisection below 2**ceil(bits/s)."""
-    if x < 0 or s < 1:
-        raise ValueError("need x >= 0 and s >= 1")
-    lo, hi = 0, 1 << -(-x.bit_length() // s)  # lo**s <= x < hi**s
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**s <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _log_bounds(n: int, terms: int) -> tuple[Fraction, Fraction]:
+    """Rational lo <= log(n) <= hi from `terms` terms of the atanh series.
 
-
-def _log_bounds(n: int, s: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= log(n) <= hi via the s-th root: with u = n**(1/s)
-    sandwiched to 32 bits, (u-1)/u <= log(u) <= u - 1 scales by s."""
-    d = 1 << 32
-    a = _floor_nth_root(n * d**s, s)
-    q_lo = Fraction(a, d)
-    q_hi = Fraction(a + 1, d)
-    return s * (q_lo - 1) / q_lo, s * (q_hi - 1)
+    With n = 2^m r and 1 <= r < 2, log(n) = 2m atanh(1/3) + 2 atanh(x)
+    for x = (n - 2^m)/(n + 2^m), and both arguments are at most 1/3.  The
+    partial sum of x^(2i+1)/(2i+1) over i < terms bounds atanh(x) below;
+    every later term is at most x^2 times the one before, so adding
+    x^(2 terms+1)/((2 terms+1)(1 - x^2)) bounds it above.
+    """
+    m = n.bit_length() - 1
+    lo = hi = Fraction(0)
+    for x, weight in ((Fraction(1, 3), 2 * m), (Fraction(n - (1 << m), n + (1 << m)), 2)):
+        partial = Fraction(0)
+        power = x  # x^(2i+1)
+        for i in range(terms):
+            partial += power / (2 * i + 1)
+            power *= x * x
+        tail = power / ((2 * terms + 1) * (1 - x * x))
+        lo += weight * partial
+        hi += weight * (partial + tail)
+    return lo, hi
 
 
 def counterexample_inequality_strong9(n: int) -> bool:
@@ -280,21 +282,22 @@ def counterexample_inequality_strong9(n: int) -> bool:
 
     using H_m <= log(m) + 1 and k(n-1) <= n(n-1) so a single inequality
     covers every rank from 9 up to n/2.  Decided exactly by sandwiching
-    log(n) between rationals of increasing precision; log(n) is
-    irrational for n >= 2, so the loop always terminates.
+    log(n) between partial sums of atanh series, doubling the number of
+    terms until one side decides.  log(n) is irrational for n >= 2, so the
+    loop always terminates.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rhs = Fraction(binomial(n, 9), n * n * (n - 1))
     half = binomial(n + 1, 2)
-    s = 256
-    while s <= 1 << 22:
-        lo, hi = _log_bounds(n, s)
+    terms = 8
+    while terms <= LOG_SERIES_MAX_TERMS:
+        lo, hi = _log_bounds(n, terms)
         if half * (hi + 1) ** 2 < rhs:
             return True
         if half * (lo + 1) ** 2 >= rhs:
             return False
-        s *= 4
+        terms *= 2
     raise RuntimeError("log precision cap reached without a decision")
 
 

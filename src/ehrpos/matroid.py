@@ -90,10 +90,6 @@ class SparsePavingMatroid:
         """Number of circuit-hyperplanes (the lambda of the Ehrhart formula)."""
         return len(self.circuit_hyperplanes)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 def _check_size(n: int, k: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
@@ -163,7 +159,7 @@ def rank_of(m: SparsePavingMatroid, a: int) -> int:
     so at most one of them can be a circuit-hyperplane and A contains a
     basis.
     """
-    if a & ~m.full_mask:
+    if a >> m.n:
         raise ValueError("subset outside ground set")
     size = a.bit_count()
     if size < m.k:

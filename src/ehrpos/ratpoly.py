@@ -108,10 +108,10 @@ class Polynomial:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    def _plus(self, other: Polynomial, sign: int) -> Polynomial:
-        # self + sign * other in one pass over the lcm of the denominators
+    def _plus(self, other: Polynomial, scale: int) -> Polynomial:
+        # self + scale * other in one pass over the lcm of the denominators
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
+        a, b = den // self.den, scale * (den // other.den)
         xs, ys = self.nums, other.nums
         out = [x * a + y * b for x, y in zip(xs, ys)]
         m = len(out)  # at most one of the two tails below is nonempty

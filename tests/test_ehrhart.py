@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import random
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -311,37 +311,22 @@ def test_inequality_implies_negative_quadratic() -> None:
 
 
 def test_strong9_variant() -> None:
-    assert not counterexample_inequality_strong9(54)
-    assert counterexample_inequality_strong9(55)
-    assert counterexample_inequality_strong9(200)
+    # the verdict turns at n = 55 and stays
+    verdicts = {n: counterexample_inequality_strong9(n) for n in range(2, 601)}
+    assert [n for n, v in verdicts.items() if not v] == list(range(2, 55))
     with pytest.raises(ValueError):
         counterexample_inequality_strong9(1)
 
 
-def test_floor_nth_root_brackets_the_root() -> None:
-    rng = random.Random(2105)
-    cases = [(x, s) for x in range(3000) for s in range(1, 20)]
-    cases += [(rng.getrandbits(rng.randint(1, 9000)), rng.randint(1, 300)) for _ in range(3000)]
-    for x, s in cases:
-        r = ehrhart._floor_nth_root(x, s)
-        assert r**s <= x < (r + 1) ** s, (x, s)
-    assert [ehrhart._floor_nth_root(x, 7) for x in (0, 1)] == [0, 1]
-    assert ehrhart._floor_nth_root(10**40 + 3, 1) == 10**40 + 3
-    for x, s in ((-1, 2), (5, 0)):
-        with pytest.raises(ValueError):
-            ehrhart._floor_nth_root(x, s)
-
-
-def test_log_bounds_sandwich_the_root() -> None:
-    for n in (2, 3, 55, 3589):
+def test_log_bounds_bracket_the_log() -> None:
+    # the float log is off by half an ulp, and at n = 2 the bounds are tight
+    for n in (2, 3, 55, 1024, 3589, 10**9 + 7):
         widths = []
-        for s in (1, 4, 256, 1024):
-            lo, hi = ehrhart._log_bounds(n, s)
-            # invert lo = s (q_lo - 1) / q_lo and hi = s (q_hi - 1)
-            q_lo, q_hi = s / (s - lo), hi / s + 1
-            assert q_lo**s <= n <= q_hi**s
+        for terms in (1, 2, 4, 8, 16, 32, 64):
+            lo, hi = ehrhart._log_bounds(n, terms)
+            assert lo <= math.log(n) + 1e-12 and math.log(n) - 1e-12 <= hi, (n, terms)
             widths.append(hi - lo)
-        assert all(a > b > 0 for a, b in zip(widths, widths[1:]))
+        assert all(a > b > 0 for a, b in zip(widths, widths[1:])), n
 
 
 def test_rank2_poly_matches_master_formula() -> None:

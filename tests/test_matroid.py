@@ -155,8 +155,9 @@ def test_rank_of_against_basis_intersections() -> None:
 
 def test_rank_of_rejects_foreign_elements() -> None:
     m = validate(4, 2, [])
-    with pytest.raises(ValueError, match="outside ground set"):
-        rank_of(m, 1 << 5)
+    for a in (1 << 5, 1 << 4, -1, -(1 << 4)):
+        with pytest.raises(ValueError, match="outside ground set"):
+            rank_of(m, a)
 
 
 def test_rank_side_points_at_t1_are_bases() -> None:

@@ -285,6 +285,9 @@ def test_add_sub_scale_match_fraction_arithmetic(
         while ref and ref[-1] == 0:
             ref.pop()
         assert r.coeffs == tuple(ref)
+    if isinstance(c, int):
+        # the one-pass combine that ehr_sparse uses
+        assert p._plus(q, -c) == p - c * q
 
 
 @given(small_polys, points)

@@ -272,6 +272,13 @@ def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
             lambda real: lambda k, n: real(k, n) * (1 + Fraction(1, 10**6)),
             10,
         ),
+        # the strong variant's margin at n = 55 is about 0.02
+        (
+            ehrhart,
+            "_log_bounds",
+            lambda real: lambda n, terms: tuple(b + Fraction(1, 10) for b in real(n, terms)),
+            8,
+        ),
     ],
     ids=[
         "is_real_rooted-always-true",
@@ -279,6 +286,7 @@ def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
         "harmonic-plus-1e-12",
         "ehr_uniform_coeff-plus-1e-9",
         "quad_coeff_minimal_shifted-times-1-plus-1e-6",
+        "log_bounds-plus-1-10th",
     ],
 )
 def test_corrupted_kernel_fails_its_criterion(
