@@ -29,7 +29,6 @@ from .ehrhart import (
     ehr_minimal_shifted,
     ehr_sparse,
     ehr_uniform,
-    fraction_strings,
     intermediate_bound_quad,
     lower_bound_quad,
     search_cells,
@@ -377,7 +376,7 @@ def _cmd_hstar(args: argparse.Namespace) -> int:
         "n": args.n,
         "k": args.k,
         "lambda": args.lam,
-        "hstar": fraction_strings(h),
+        "hstar": [f"{v}/1" for v in h],  # ints, in the "p/q" form of every record
         "real_rooted": rooted,
     }
     lines = ["h*: " + ", ".join(str(v) for v in h)]

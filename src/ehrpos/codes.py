@@ -138,8 +138,9 @@ def gs_best_class(n: int, k: int) -> ConstantWeightCode:
 
 
 def gs_lower_bound(n: int, k: int) -> int:
-    """floor(binomial(n, k) / n): a class of at least this size always exists."""
-    if n <= 0:
+    """floor(binomial(n, k) / n): a class of at least this size always
+    exists.  0 outside 0 < k < n: ranks 0 and n have no circuit-hyperplane."""
+    if not 0 < k < n:
         return 0
     return binomial(n, k) // n
 

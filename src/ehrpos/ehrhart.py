@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .codes import gs_lower_bound
 from .errors import BudgetExceededError
@@ -299,13 +298,6 @@ def counterexample_inequality_strong9(n: int) -> bool:
             return False
         terms *= 2
     raise RuntimeError("log precision cap reached without a decision")
-
-
-def fraction_strings(values: Iterable[Fraction]) -> list[str]:
-    """Fractions as exact "p/q" strings, q kept even when it is 1, for
-    lists of Fractions such as an h*-vector; a Polynomial prints its own
-    with `coefficient_strings`, from the integer form."""
-    return [f"{c.numerator}/{c.denominator}" for c in values]
 
 
 @dataclass(frozen=True)

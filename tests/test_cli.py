@@ -209,6 +209,10 @@ def test_bounds_output(capsys) -> None:
     code, out = run_cli(capsys, "bounds", "--n", "6", "--k", "1")
     assert code == 0
     assert "quad_lower_bound" not in out
+    # rank 0 has no circuit-hyperplane: the class bound stays under the packing bound
+    code, out = run_cli(capsys, "bounds", "--n", "1", "--k", "0")
+    assert code == 0
+    assert "gs_lower_bound = 0" in out
 
 
 def test_bounds_budget_is_exit_2(capsys, monkeypatch) -> None:

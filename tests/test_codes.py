@@ -144,6 +144,12 @@ def test_bounds_scalar_values() -> None:
     assert circuit_hyperplane_bound(18, 9) == 4862
     assert gs_lower_bound(0, 1) == 0
     assert gs_lower_bound(5, 7) == 0
+    # ranks 0 and n have no circuit-hyperplane, n = 1 included
+    assert gs_lower_bound(1, 0) == 0
+    assert gs_lower_bound(1, 1) == 0
+    for n in range(61):
+        for k in range(n + 1):
+            assert gs_lower_bound(n, k) <= circuit_hyperplane_bound(n, k), (n, k)
 
 
 def test_budget_error(monkeypatch) -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ehrpos.ehrhart import ehr_sparse, ehr_uniform, rank2_poly
 from ehrpos.hstar import hstar, is_real_rooted
-from ehrpos.ratpoly import Polynomial, RatLike, binom_poly
+from ehrpos.ratpoly import Polynomial, RatLike, binom_poly, interpolate_at_naturals
 
 
 def test_unimodular_simplex() -> None:
@@ -51,7 +51,7 @@ def test_hstar_of_hypersimplex() -> None:
         for k in range(1, n):
             h = hstar(ehr_uniform(k, n), n - 1)
             assert h[0] == 1
-            assert all(v.denominator == 1 and v >= 0 for v in h)
+            assert all(type(v) is int and v >= 0 for v in h)
             # palindromic only for k = n/2; nonnegativity always
             assert sum(h) != 0
 
@@ -60,7 +60,7 @@ def test_hstar_nonnegative_on_counterexample() -> None:
     p = ehr_sparse(20, 9, 8398)
     h = hstar(p, 19)
     assert h[0] == 1
-    assert all(v.denominator == 1 and v >= 0 for v in h)
+    assert all(type(v) is int and v >= 0 for v in h)
     # h*-sum is the normalized volume, dim! times the leading coefficient
     assert sum(h) == p.coeffs[-1] * math.factorial(19)
 
@@ -83,8 +83,12 @@ def test_is_real_rooted_rejects_zero() -> None:
         is_real_rooted([])
 
 
-def test_is_real_rooted_accepts_fraction_lists() -> None:
-    assert is_real_rooted([Fraction(1, 2), Fraction(3, 2), Fraction(1)])
+def test_is_real_rooted_rejects_fraction_entries() -> None:
+    # an h*-vector is ints; a Fraction entry is refused, integral or not
+    with pytest.raises(TypeError, match="int coefficients only"):
+        is_real_rooted([Fraction(1, 2), Fraction(3, 2), Fraction(1)])
+    with pytest.raises(TypeError, match="int coefficients only"):
+        is_real_rooted([1, 3, Fraction(3), 1])
     assert is_real_rooted(hstar(Polynomial([1, 3, 3, 1]), 3))
 
 
@@ -107,17 +111,37 @@ def _ref_hstar(p: Polynomial, dim: int) -> list[Fraction]:
         st.fractions(min_value=-100, max_value=100, max_denominator=30), min_size=1, max_size=16
     ).filter(lambda cs: cs[-1] != 0)
 )
+@example([1, 2])  # integer-valued: both agree
+@example([Fraction(1, 2), Fraction(1, 3)])  # not integer-valued: hstar raises
 def test_hstar_matches_fraction_reference(coeffs: list[Fraction]) -> None:
+    # a random rational polynomial is rarely integer-valued: then hstar
+    # raises at the first reference entry that is not an integer
     p = Polynomial(coeffs)
-    assert hstar(p, len(coeffs) - 1) == _ref_hstar(p, len(coeffs) - 1)
+    ref = _ref_hstar(p, len(coeffs) - 1)
+    bad = [i for i, v in enumerate(ref) if v.denominator != 1]
+    if bad:
+        with pytest.raises(ArithmeticError, match=rf"^h\*_{bad[0]} is not an integer"):
+            hstar(p, len(coeffs) - 1)
+    else:
+        assert hstar(p, len(coeffs) - 1) == ref
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=16))
+def test_hstar_matches_fraction_reference_on_integer_valued(values: list[int]) -> None:
+    p = interpolate_at_naturals(values)
+    if not p:  # all values 0: the zero polynomial has no h*-vector
+        return
+    h = hstar(p, int(p.degree))
+    assert all(type(v) is int for v in h)
+    assert h == _ref_hstar(p, int(p.degree))
 
 
 @pytest.mark.parametrize(
     "p",
     [
         Polynomial([5]),
-        Polynomial([Fraction(1, 3), 2]),
-        Polynomial([Fraction(-3, 7), 5, Fraction(-1, 2)]),
+        Polynomial([-3, 2]),
+        Polynomial([-3, Fraction(11, 2), Fraction(-1, 2)]),  # -3 + t(11 - t)/2
         rank2_poly(60),
         rank2_poly(61),
     ],
@@ -222,15 +246,15 @@ def test_is_real_rooted_matches_fraction_reference(
     # degree <= 8: integer roots, repeated ones included, times a cofactor
     # of degree <= 4 that may carry non-real pairs
     p = _from_roots(roots, cofactor) * scale
-    assert is_real_rooted(p.coeffs) == _ref_is_real_rooted(p.coeffs)
+    assert is_real_rooted(p.nums) == _ref_is_real_rooted(p.coeffs)
 
 
 def test_is_real_rooted_with_nontrivial_gcd() -> None:
     # gcd(p, p') of positive degree: repeated real roots and repeated pairs
-    assert is_real_rooted(_from_roots([-1] * 5 + [3, 3], [1, 2]).coeffs)
-    assert is_real_rooted(_from_roots([0] * 4 + [1] * 3, [1]).coeffs)
-    assert not is_real_rooted(_from_roots([-1], [1, 2, 3, 2, 1]).coeffs)  # (t^2+t+1)^2 (t+1)
-    assert not is_real_rooted(_from_roots([], [1, 0, 3, 0, 3, 0, 1]).coeffs)  # (t^2+1)^3
+    assert is_real_rooted(_from_roots([-1] * 5 + [3, 3], [1, 2]).nums)
+    assert is_real_rooted(_from_roots([0] * 4 + [1] * 3, [1]).nums)
+    assert not is_real_rooted(_from_roots([-1], [1, 2, 3, 2, 1]).nums)  # (t^2+t+1)^2 (t+1)
+    assert not is_real_rooted(_from_roots([], [1, 0, 3, 0, 3, 0, 1]).nums)  # (t^2+1)^3
 
 
 def test_rank2_hstar_real_rooted_at_high_degree() -> None:
@@ -241,6 +265,6 @@ def test_rank2_hstar_real_rooted_at_high_degree() -> None:
         assert is_real_rooted(h) is True
         assert _ref_is_real_rooted(h) is True
     # negative control: nonnegative entries with an internal zero
-    h[len(h) // 2] = Fraction(0)
+    h[len(h) // 2] = 0
     assert is_real_rooted(h) is False
     assert _ref_is_real_rooted(h) is False

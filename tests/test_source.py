@@ -93,6 +93,41 @@ def test_formula_import_check_catches_an_import() -> None:
     assert found & FORMULA_MODULES == {"hstar", "cli", "ratpoly"}
 
 
+# the modules that compute with Fraction: the others, h*-vectors and the
+# Sturm chain included, work in ints
+FRACTION_MODULES = {"ratpoly", "ehrhart", "verify"}
+
+
+def _imports_fractions(tree: ast.Module) -> bool:
+    """Whether a module imports `fractions` or a name from it, anywhere."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "fractions":
+            return True
+    return False
+
+
+def test_fraction_imports_are_pinned() -> None:
+    found = {
+        path.stem
+        for path in PROGRAM_FILES
+        if _imports_fractions(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == FRACTION_MODULES
+
+
+def test_fraction_import_check_catches_every_form() -> None:
+    for snippet in (
+        "from fractions import Fraction\n",
+        "import math, fractions\n",
+        "def f():\n    from fractions import Fraction as F\n",
+    ):
+        assert _imports_fractions(ast.parse(snippet))
+    clean = "from .ratpoly import Polynomial\nimport math\nname = 'fractions'\n"
+    assert not _imports_fractions(ast.parse(clean))
+
+
 def _attribute_readers(tree: ast.Module, attr: str) -> list[str]:
     """Where an attribute named `attr` is read: the innermost function
     around each read, by dotted name, or `<module>` outside every function."""

@@ -239,6 +239,20 @@ def test_criterion_9_catches_a_fault_at_one_matroid(corrupt, monkeypatch) -> Non
     assert verify.check_oracle_certification() == (False, detail)
 
 
+def test_criterion_11_fails_on_a_polynomial_that_is_not_integer_valued(monkeypatch) -> None:
+    # t^2 / 2 added at rank2(40) keeps the degree but not integrality, so
+    # hstar raises, and the raise is the criterion's integrality check
+    real = verify.rank2_poly
+    monkeypatch.setattr(
+        verify,
+        "rank2_poly",
+        lambda n: real(n) + Polynomial([0, 0, Fraction(1, 2)]) if n == 40 else real(n),
+    )
+    ok, detail = verify.run_check(verify.check_hstar_sanity)
+    assert not ok
+    assert detail.splitlines()[-1].startswith("ArithmeticError: ")
+
+
 def test_criterion_5_detail_counts_violations(monkeypatch) -> None:
     real = verify._capped_poly
     monkeypatch.setattr(
