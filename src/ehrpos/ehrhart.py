@@ -169,27 +169,36 @@ def ehr_uniform_coeff(k: int, n: int, m: int) -> Fraction:
 
     Katzman's formula (Comm. Algebra 2005) writes the hypersimplex
     polynomial as sum_{j<k} (-1)^j C(n, j) C((k-j)t - j + n - 1, n - 1),
-    and (n-1)! times each binomial is the product of the n - 1 integer
-    linear factors (k-j)t - j + n - 1 - i, i = 0..n-2.  Each product is
-    carried only up to degree m, so the work is O(k n m) integer
-    operations, and the sum is divided by (n-1)! once.
+    and (n-1)! times each binomial is e_j((k-j)t), where e_j(x) is the
+    product of x + c over c = 1-j..n-1-j.  Only the coefficients of e_j up
+    to degree m are kept: e_0 is one truncated product of n - 1 factors,
+    and e_{j+1} is e_j times (x - j), divided exactly by (x + n - 1 - j).
+    The work is O(n m + k m) integer operations, and the sum is divided
+    by (n-1)! once.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got (k, n) = ({k}, {n})")
     if not 0 <= m <= n - 1:
         raise ValueError(f"coefficient index {m} outside 0..{n - 1}")
+    e = [1] + [0] * m
+    for c in range(1, n):
+        # times (x + c), dropping degrees above m
+        for i in range(m, 0, -1):
+            e[i] = e[i] * c + e[i - 1]
+        e[0] *= c
     total = 0
     for j in range(k):
-        slope = k - j
-        prod = [1] + [0] * m
-        for i in range(n - 1):
-            const = n - 1 - j - i
-            # times (slope t + const), dropping degrees above m
-            for e in range(m, 0, -1):
-                prod[e] = prod[e] * const + prod[e - 1] * slope
-            prod[0] *= const
-        term = binomial(n, j) * prod[m]
+        term = binomial(n, j) * e[m] * (k - j) ** m
         total += -term if j % 2 else term
+        # times (x - j), then divided by (x + c) from the lowest degree up:
+        # q[i] = (p[i] - q[i-1]) / c
+        c = n - 1 - j
+        q = 0
+        for i, p in enumerate([a - j * b for a, b in zip([0] + e, e)]):
+            q, rem = divmod(p - q, c)
+            if rem:
+                raise ArithmeticError(f"x + {c} does not divide the product at (k, n) = ({k}, {n})")
+            e[i] = q
     return Fraction(total, math.factorial(n - 1))
 
 

@@ -13,8 +13,10 @@ the representation but an input guard: it rejects matroid files and codes
 far beyond the sizes at which enumeration and the oracle are feasible.
 Two distinct k-subsets are at Hamming distance 2 exactly when they share a
 (k-1)-subset, so the distance-4 condition is checked on the lambda * k
-shadows of the family, collected by one set comprehension that removes
-each element in turn from every word holding it.
+shadows of the family, each word with one element removed.  They are
+compared one bucket at a time, keyed by their bits on the lowest few
+positions, so the check holds about 2**SHADOW_BUCKET_BITS shadows at once
+however large the family is.
 
 In the matroid text format, a line after the header whose tokens are k
 distinct elements written as plain decimals becomes a mask in one step, as
@@ -31,6 +33,9 @@ from typing import Iterable
 from .ratpoly import binomial
 
 MAX_GROUND_SET = 64
+# the distance-4 check takes r = bit_length(lambda * k) - SHADOW_BUCKET_BITS
+# low positions as bucket keys, so a bucket averages at most 2**13 shadows
+SHADOW_BUCKET_BITS = 13
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
@@ -104,7 +109,7 @@ def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
     Checks, in order: ground-set size, popcounts, the packing bound on
     |Lambda|, and the pairwise Hamming distance >= 4 condition, as
     distinctness of the lambda * k shadows (each word with one element
-    removed).
+    removed), checked bucket by bucket.
     """
     _check_size(n, k)
     masks = sorted(set(chs))
@@ -130,10 +135,36 @@ def validate(n: int, k: int, chs: Iterable[int]) -> SparsePavingMatroid:
 
 def _shadows_distinct(masks: list[int], n: int, k: int) -> bool:
     """True when no (k-1)-subset lies under two of the distinct k-sets:
-    the k shadows of each word, built in one pass per element, are all
-    distinct."""
-    bits = [1 << i for i in range(n)]
-    return len({h ^ b for b in bits for h in masks if h & b}) == len(masks) * k
+    the lambda * k shadows (each word with one element removed) are all
+    distinct.
+
+    Shadows are compared one bucket at a time, keyed by their bits on the
+    lowest r positions.  Removing bit a from h gives bucket h & low when
+    a >= r and (h & low) - 2**a otherwise, so bucket p is filled from the
+    words of group p (h & low == p) and of each neighbouring group p + 2**a.
+    Shadows in different buckets differ, so it suffices that each bucket's
+    set is as large as the number of shadows put in it.
+    """
+    r = min(n, max(0, (len(masks) * k).bit_length() - SHADOW_BUCKET_BITS))
+    low = (1 << r) - 1
+    groups: list[list[int]] = [[] for _ in range(1 << r)]
+    for h in masks:
+        groups[h & low].append(h)
+    high = [1 << i for i in range(r, n)]
+    lows = [1 << a for a in range(r)]
+    for p, own in enumerate(groups):
+        # own words without one bit >= r, then the words of each
+        # neighbouring group p + bit without that low bit
+        shadows = {h ^ b for b in high for h in own if h & b}
+        expected = len(own) * (k - p.bit_count())
+        for bit in lows:
+            if not p & bit:
+                words = groups[p | bit]
+                shadows.update([h ^ bit for h in words])
+                expected += len(words)
+        if len(shadows) != expected:
+            return False
+    return True
 
 
 def _first_adjacent_pair(masks: list[int], full: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ as a fail; the command line front end runs the entries in order and
 prints a pass/fail table, and the acceptance tests run each the same way.
 
 The rank-3 threshold check reads a single coefficient of a degree-3588
-polynomial from Katzman's formula (about 0.05 s) instead of building it.
+polynomial from Katzman's formula (about 0.02 s) instead of building it.
 """
 
 from __future__ import annotations

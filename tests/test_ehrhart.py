@@ -278,6 +278,10 @@ def test_single_coefficient_large_n_spot() -> None:
     # degree-100 instance stays exact and fast
     p = ehr_uniform(3, 100)
     assert ehr_uniform_coeff(3, 100, 2) == p.coeff(2)
+    # large k: the truncated product moves through 39 ranges of factors
+    p = ehr_uniform(40, 80)
+    for m in range(5):
+        assert ehr_uniform_coeff(40, 80, m) == p.coeff(m)
 
 
 def test_counterexample_inequality_known_points() -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,7 @@ from ehrpos.matroid import (
     rank_of,
     validate,
 )
-from ehrpos.codes import gs_partition
+from ehrpos.codes import gs_best_class, gs_partition
 from ehrpos.oracle import enumerate_small_matroids
 from ehrpos.ratpoly import binomial
 
@@ -100,9 +101,7 @@ def first_close_pair(masks: list[int]) -> tuple[int, int] | None:
     return None
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
+def check_draw_against_pairwise(data: st.DataObject) -> None:
     # ground sets on both sides of the byte, word and 32-bit boundaries
     n = data.draw(st.sampled_from([8, 9, 16, 17, 32, 33, 63, 64]) | st.integers(2, 64))
     # k in {1, n - 1} admits one word, so the packing bound decides it; most
@@ -136,10 +135,90 @@ def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
     message = str(info.value)
     if "exceeds circuit-hyperplane bound" in message:
         return
+    assert_names_pair(message, n, k, close)
+
+
+def assert_names_pair(message: str, n: int, k: int, close: tuple[int, int] | None) -> None:
     assert message.endswith(f"are adjacent in Johnson graph J({n},{k})")
     a, b = (mask_from_elements(ast.literal_eval(s), n) for s in re.findall(r"\{[\d, ]+\}", message))
     assert (a ^ b).bit_count() == 2
     assert (a, b) == close
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_shadow_check_against_pairwise(data: st.DataObject) -> None:
+    # these draws hold at most 15 * 63 shadows, so they take one bucket
+    check_draw_against_pairwise(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_shadow_check_against_pairwise_in_buckets(data: st.DataObject) -> None:
+    # one shadow per bucket on average: r = bit_length(lambda * k), capped at n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matroid, "SHADOW_BUCKET_BITS", 0)
+        check_draw_against_pairwise(data)
+
+
+def test_shadow_buckets_catch_every_kind_of_swap() -> None:
+    # gs_best_class(18, 9) has 2704 * 9 shadows, so the check takes r = 2
+    # low positions (elements 1 and 2).  A word w and its neighbour g share
+    # one shadow: after a swap of two elements >= r it lies in one group's
+    # bucket, after a swap across r it comes from a group and from a
+    # neighbouring group, and after a swap of two low elements from two
+    # neighbouring groups
+    n, k = 18, 9
+    words = list(gs_best_class(n, k).words)
+    # (elements that may leave w, elements that may enter it)
+    swaps = (((3, 18), (3, 18)), ((1, 2), (3, 18)), ((1, 2), (1, 2)))
+    for (lo_out, hi_out), (lo_in, hi_in) in swaps:
+        # the smallest word that holds an element of the first range and
+        # misses one of the second, so the reference scan ends early
+        w, out, into = next(
+            (w, a, b)
+            for w in sorted(words)
+            for a in range(lo_out, hi_out + 1)
+            for b in range(lo_in, hi_in + 1)
+            if w >> (a - 1) & 1 and not w >> (b - 1) & 1
+        )
+        g = w ^ 1 << (out - 1) ^ 1 << (into - 1)
+        # keep w as the only word near g, so only that one shadow collides
+        bad = [c for c in words if c == w or (c ^ g).bit_count() >= 4] + [g]
+        assert (len(bad) * k).bit_length() - matroid.SHADOW_BUCKET_BITS == 2
+        with pytest.raises(ValueError) as info:
+            validate(n, k, bad)
+        close = first_close_pair(bad)
+        assert close == (min(w, g), max(w, g))
+        assert_names_pair(str(info.value), n, k, close)
+
+
+@pytest.mark.parametrize("bucket_bits", [13, 0])
+def test_single_word_families(monkeypatch: pytest.MonkeyPatch, bucket_bits: int) -> None:
+    # k = 0 and k = n admit one word each: it has k shadows, all in the
+    # neighbouring groups' part when every element is low
+    monkeypatch.setattr(matroid, "SHADOW_BUCKET_BITS", bucket_bits)
+    for n in (1, 2, 5, 64):
+        full = (1 << n) - 1
+        assert matroid._shadows_distinct([0], n, 0)
+        assert matroid._shadows_distinct([full], n, n)
+        for k, word in ((0, 0), (n, full)):
+            assert validate(n, k, []).lam == 0
+            with pytest.raises(ValueError, match="exceeds circuit-hyperplane bound 0"):
+                validate(n, k, [word])
+
+
+def test_validate_memory_stays_flat_at_20_9() -> None:
+    # one set of all 75,582 shadows of the paper's code peaks at 4.4 MiB;
+    # buckets of about 2**13 shadows stay near 1.6 MiB
+    words = gs_best_class(20, 9).words
+    tracemalloc.start()
+    try:
+        validate(20, 9, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, f"validate peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_rank_of_against_basis_intersections() -> None:
